@@ -45,7 +45,7 @@ from .io import (
     write_vectors_csv,
 )
 from .labelmap import read_label_map, write_label_map
-from .svm import chi2_kernel, mean_chi2_gamma, svm_score, train_kernel_svm
+from .svm import chi2_distances, gamma_from_distances, svm_score, train_kernel_svm
 from .taxonomy import build_taxonomy, parse_counts, parse_isa_edges, parse_names, stats
 from .topdown import TopDownConfig, top_down_pipeline
 
@@ -264,6 +264,7 @@ def _cmd_vlad(ns, prov: str) -> int:
 
 def _cmd_kernel(ns, prov: str) -> int:
     x_ids, x_vectors = read_vectors_csv(_read_text(ns.x))
+    y_ids, y_vectors = x_ids, None
     if ns.y:
         if ns.gamma is None:
             raise UsageError(
@@ -271,22 +272,14 @@ def _cmd_kernel(ns, prov: str) -> int:
                 "in the training gram header"
             )
         y_ids, y_vectors = read_vectors_csv(_read_text(ns.y))
-    else:
-        y_ids, y_vectors = x_ids, x_vectors
-    gamma = (
-        mean_chi2_gamma(x_vectors, epsilon=ns.epsilon)
-        if ns.gamma is None
-        else ns.gamma
-    )
-    rows = _parallel_map(
-        lambda i: chi2_kernel(
-            x_vectors[i], y_vectors, gamma=gamma, epsilon=ns.epsilon
-        )[0],
-        range(len(x_ids)),
-        ns.threads,
-    )
+    if ns.gamma is not None and not ns.gamma > 0:
+        raise ContractViolation(f"gamma must be > 0, got {ns.gamma}")
+    # one distance pass serves both the bandwidth and the kernel
+    dists = chi2_distances(x_vectors, y_vectors, epsilon=ns.epsilon)
+    gamma = gamma_from_distances(dists) if ns.gamma is None else ns.gamma
     text = write_gram_csv(
-        x_ids, y_ids, np.vstack(rows), header=f"{prov} | gamma={fmt(gamma)}"
+        x_ids, y_ids, np.exp(-gamma * dists),
+        header=f"{prov} | gamma={fmt(gamma)}",
     )
     atomic_write_text(ns.out, text)
     return 0
@@ -432,7 +425,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--y")
         p.add_argument("--gamma", type=float)
         p.add_argument("--epsilon", type=float, default=1e-10)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", required=True)
 
     def p_train(p):

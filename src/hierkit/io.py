@@ -208,6 +208,10 @@ def read_gram_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
         rows.append([_parse_float(tok, lineno) for tok in tokens[1:]])
     if col_ids is None or not rows:
         raise ParseError("no gram rows found")
+    if len(set(row_ids)) != len(row_ids):
+        raise ParseError("duplicate row ids in gram file")
+    if len(set(col_ids)) != len(col_ids):
+        raise ParseError("duplicate column ids in gram file")
     return row_ids, col_ids, np.asarray(rows, dtype=np.float64)
 
 

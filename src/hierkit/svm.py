@@ -17,6 +17,10 @@ from .errors import ContractViolation
 DEFAULT_EPSILON = 1e-10
 KKT_TOL = 1e-3
 MAX_PAIR_UPDATES = 100_000
+# Elements per chi-squared scratch buffer (256 KiB of float64): a block
+# holds CHI2_BLOCK // d columns. Measured fastest from d=64 to d=13000;
+# smaller blocks pay numpy call overhead, larger ones spill the cache.
+CHI2_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -73,15 +77,30 @@ def chi2_distances(x, y=None, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
         )
     if np.any(a < 0) or np.any(b < 0):
         raise ContractViolation("chi-squared inputs must be non-negative")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ContractViolation(f"epsilon must be >= 0, got {epsilon}")
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    for i in range(a.shape[0]):
-        diff = a[i] - b
-        denom = a[i] + b + epsilon
-        nonzero = denom > 0.0
-        terms = np.square(diff) / np.where(nonzero, denom, 1.0)
-        out[i] = np.where(nonzero, terms, 0.0).sum(axis=1)
+    n, m = a.shape[0], b.shape[0]
+    out = np.empty((n, m), dtype=np.float64)
+    width = min(max(1, CHI2_BLOCK // a.shape[1]), m)
+    terms = np.empty((width, a.shape[1]), dtype=np.float64)
+    denom = np.empty_like(terms)
+    for i in range(n):
+        # symmetric: (a-b)^2 and a+b are exact under swapping, so the upper
+        # triangle is computed and mirrored bit for bit
+        for j0 in range(i if y is None else 0, m, width):
+            j1 = min(j0 + width, m)
+            t, d = terms[: j1 - j0], denom[: j1 - j0]
+            np.subtract(a[i], b[j0:j1], out=t)
+            np.square(t, out=t)
+            np.add(a[i], b[j0:j1], out=d)
+            if epsilon > 0:
+                d += epsilon
+                t /= d
+            else:  # a zero denominator means a coincident zero bin: term 0
+                np.divide(t, d, out=t, where=d > 0.0)
+            t.sum(axis=1, out=out[i, j0:j1])
+        if y is None:
+            out[i + 1:, i] = out[i, i + 1:]
     return out
 
 
@@ -109,10 +128,19 @@ def mean_chi2_gamma(x, epsilon: float = DEFAULT_EPSILON) -> float:
     a = _as_matrix(x, "X")
     if a.shape[0] < 2:
         return 1.0
-    dists = chi2_distances(a, epsilon=epsilon)
+    return gamma_from_distances(chi2_distances(a, epsilon=epsilon))
+
+
+def gamma_from_distances(dists: np.ndarray) -> float:
+    """1 / mean of the strict upper triangle of a square distance matrix.
+
+    Falls back to 1.0 for fewer than two items or an all-zero mean.
+    """
+    n = dists.shape[0]
+    if n < 2:
+        return 1.0
     total = float(np.triu(dists, k=1).sum())
-    pairs = a.shape[0] * (a.shape[0] - 1) / 2
-    mean = total / pairs
+    mean = total / (n * (n - 1) / 2)
     return 1.0 / mean if mean > 0 else 1.0
 
 

@@ -216,6 +216,24 @@ def oracle_two_means(points: np.ndarray) -> list[np.ndarray]:
     return best_centroids
 
 
+def oracle_chi2_distances(x, y=None, epsilon: float = 1e-10) -> np.ndarray:
+    """Chi-squared distances one full row at a time, both triangles.
+
+    The library's original loop, kept verbatim: every row against every
+    column, fresh full-width temporaries, zero denominators masked.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    b = a if y is None else np.asarray(y, dtype=np.float64)
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+    for i in range(a.shape[0]):
+        diff = a[i] - b
+        denom = a[i] + b + epsilon
+        nonzero = denom > 0.0
+        terms = np.square(diff) / np.where(nonzero, denom, 1.0)
+        out[i] = np.where(nonzero, terms, 0.0).sum(axis=1)
+    return out
+
+
 def oracle_svm_dual(gram: np.ndarray, labels: np.ndarray, C: float):
     """Generic convex-QP solution of the dual, via scipy's SLSQP."""
     from scipy.optimize import minimize

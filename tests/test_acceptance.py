@@ -380,7 +380,6 @@ def test_criterion_8_cli_determinism(tmp_path):
         "pool": ["pool", "--frames", *frame_paths],
         "vlad": ["vlad", "--frames", *frame_paths,
                  "--codebook", out["codebook.bin"]],
-        "kernel": ["kernel", "--x", out["pooled.csv"]],
         "score": ["score", "--model", out["model.bin"],
                   "--gram-rows", out["gram.csv"]],
     }

@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
+from hierkit import __version__
 from hierkit.cli import main
-from hierkit.io import write_frames_bin, write_frames_csv
+from hierkit.io import (
+    fmt,
+    read_vectors_csv,
+    write_frames_bin,
+    write_frames_csv,
+    write_gram_csv,
+)
 from hierkit.labelmap import read_label_map
+
+from oracles import oracle_chi2_distances
 
 
 @pytest.fixture
@@ -279,6 +288,41 @@ class TestModelCommands:
         )
         assert code == 0
 
+    def expected_gram(self, argv, x_path, y_path=None, gamma=None):
+        """The kernel file rendered from the per-row oracle distances."""
+        x_ids, x = read_vectors_csv(x_path.read_text())
+        y_ids, y = x_ids, None
+        if y_path is not None:
+            y_ids, y = read_vectors_csv(y_path.read_text())
+        dists = oracle_chi2_distances(x, y)
+        if gamma is None:
+            pairs = len(x_ids) * (len(x_ids) - 1) / 2
+            gamma = 1.0 / (float(np.triu(dists, k=1).sum()) / pairs)
+        prov = f"hierkit {__version__} " + " ".join(argv)
+        return write_gram_csv(
+            x_ids, y_ids, np.exp(-gamma * dists),
+            header=f"{prov} | gamma={fmt(gamma)}",
+        ).encode()
+
+    def test_kernel_auto_gamma_matches_oracle_bytes(self, videos, tmp_path):
+        pooled, _ = self.make_gram(videos, tmp_path)
+        out = tmp_path / "auto.csv"
+        argv = ["kernel", "--x", str(pooled), "--out", str(out)]
+        assert run(*argv) == 0
+        assert out.read_bytes() == self.expected_gram(argv, pooled)
+
+    def test_kernel_rows_with_gamma_match_oracle_bytes(self, videos, tmp_path):
+        pooled, _ = self.make_gram(videos, tmp_path)
+        test = tmp_path / "test.csv"
+        run("pool", "--frames", *videos["paths"][1:4], "--out", str(test))
+        out = tmp_path / "rows.csv"
+        argv = ["kernel", "--x", str(test), "--y", str(pooled),
+                "--gamma", "0.7", "--out", str(out)]
+        assert run(*argv) == 0
+        assert out.read_bytes() == self.expected_gram(
+            argv, test, pooled, gamma=0.7
+        )
+
     def test_train_score_fuse_eval(self, videos, tmp_path):
         _, gram = self.make_gram(videos, tmp_path)
         model = tmp_path / "model.bin"
@@ -399,6 +443,18 @@ class TestExitCodes:
             "--out", str(model),
         )
         assert code == 3
+        assert not model.exists()
+
+
+    def test_duplicate_gram_ids_is_parse_error(self, videos, tmp_path):
+        gram = tmp_path / "dup.csv"
+        gram.write_text("cols,vid0,vid0\nvid0,1.0,0.5\nvid0,0.5,1.0\n")
+        model = tmp_path / "model.bin"
+        code = run(
+            "train-svm", "--gram", str(gram), "--labels", videos["labels"],
+            "--out", str(model),
+        )
+        assert code == 2
         assert not model.exists()
 
 

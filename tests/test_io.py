@@ -93,6 +93,14 @@ class TestGram:
         with pytest.raises(ParseError, match="line 3"):
             read_gram_csv("cols,c1,c2\nr1,1.0,0.5\nr2,1.0\n")
 
+    def test_duplicate_row_ids_rejected(self):
+        with pytest.raises(ParseError, match="duplicate row ids"):
+            read_gram_csv("cols,c1,c2\nr1,1.0,0.5\nr1,0.5,1.0\n")
+
+    def test_duplicate_col_ids_rejected(self):
+        with pytest.raises(ParseError, match="duplicate column ids"):
+            read_gram_csv("cols,c1,c1\nr1,1.0,0.5\nr2,0.5,1.0\n")
+
 
 class TestScoresAndLabels:
     def test_scores_roundtrip(self):

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hierkit.errors import ContractViolation
 from hierkit.svm import (
+    CHI2_BLOCK,
     KernelConfig,
     SvmModel,
+    chi2_distances,
     chi2_kernel,
     kkt_violation,
     mean_chi2_gamma,
@@ -14,7 +19,7 @@ from hierkit.svm import (
     train_kernel_svm,
 )
 
-from oracles import oracle_svm_dual
+from oracles import oracle_chi2_distances, oracle_svm_dual
 
 
 def toy_set(seed=0, n_per=10):
@@ -93,6 +98,81 @@ class TestChi2Kernel:
         assert mean_chi2_gamma(x) == first
         # identical vectors fall back to 1.0
         assert mean_chi2_gamma(np.ones((3, 2))) == 1.0
+
+
+def histograms(seed, n, d, zero_share=0.0):
+    rng = np.random.default_rng(seed)
+    x = rng.dirichlet(np.ones(d), size=n)
+    x[rng.random((n, d)) < zero_share] = 0.0
+    return x
+
+
+class TestChi2Distances:
+    """The blocked loop must reproduce the per-row oracle bit for bit."""
+
+    def check(self, x, y=None, epsilon=1e-10):
+        got = chi2_distances(x, y, epsilon=epsilon)
+        assert np.array_equal(got, oracle_chi2_distances(x, y, epsilon))
+
+    def test_symmetric(self):
+        self.check(histograms(0, 40, 30))
+
+    def test_rectangular(self):
+        x, y = histograms(1, 25, 30), histograms(2, 40, 30)
+        self.check(x, y)
+        self.check(y, x)
+
+    def test_single_row(self):
+        x, y = histograms(3, 1, 9), histograms(4, 6, 9)
+        self.check(x)
+        self.check(x, y)
+        self.check(y, x)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    def test_block_edges(self, extra):
+        width = 4
+        d = CHI2_BLOCK // width
+        n = 2 * width + 1 if extra is None else width + extra
+        x = histograms(5, n, d, zero_share=0.3)
+        self.check(x)
+        self.check(x, histograms(6, n + 2, d))
+        self.check(histograms(7, 3, d), x)
+
+    def test_epsilon_zero_with_coincident_zero_bins(self):
+        x = histograms(8, 12, 10, zero_share=0.5)
+        x[:, 0] = 0.0  # a bin that is zero everywhere
+        got = chi2_distances(x, epsilon=0.0)
+        assert np.all(np.isfinite(got))
+        self.check(x, epsilon=0.0)
+        self.check(x, histograms(9, 5, 10, zero_share=0.5), epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan")])
+    def test_bad_epsilon_rejected(self, epsilon):
+        with pytest.raises(ContractViolation):
+            chi2_distances(histograms(11, 3, 4), epsilon=epsilon)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(lambda d: st.tuples(
+            arrays(np.float64, st.tuples(st.integers(1, 12), st.just(d)),
+                   elements=st.floats(0.0, 1e100)),
+            arrays(np.float64, st.tuples(st.integers(1, 12), st.just(d)),
+                   elements=st.floats(0.0, 1e100)),
+        )),
+        st.sampled_from([0.0, 1e-10, 0.5]),
+    )
+    def test_matches_oracle_on_random_matrices(self, pair, epsilon):
+        x, y = pair
+        self.check(x, epsilon=epsilon)
+        self.check(x, y, epsilon=epsilon)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 37, 58])
+    def test_gamma_is_inverse_mean_of_oracle_upper_triangle(self, n):
+        x = histograms(n, n, 21)
+        dists = oracle_chi2_distances(x)
+        pairs = n * (n - 1) / 2
+        expected = 1.0 / (float(np.triu(dists, k=1).sum()) / pairs)
+        assert mean_chi2_gamma(x) == expected
 
 
 class TestTrainSvm:
