@@ -418,7 +418,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--k", type=int)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--save-codebook", dest="save_codebook")
-        p.add_argument("--event", default="")
 
     def p_kernel(p):
         p.add_argument("--x", required=True)

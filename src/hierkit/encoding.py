@@ -18,6 +18,11 @@ from .errors import ContractViolation
 
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-6
+# Elements in one row block's difference tensor in _pairwise_sq_dists
+# (512 KiB of float64). Measured on a 2-vCPU Xeon over n x k x d from
+# 400x64x128 to 4800x64x128 and 2000x64x1000: 2**15 and 2**16 were
+# fastest and within noise of each other; 2**12 and 2**20 were slower.
+KMEANS_BLOCK = 1 << 16
 
 
 @dataclass
@@ -73,10 +78,12 @@ def average_pool(frames) -> np.ndarray:
 def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
     """Lloyd's algorithm from a seeded, distance-weighted initialization.
 
-    Iterations stop when no centroid moves more than 1e-6 or after 100
-    rounds. A cluster that empties is repaired by seizing the point
-    currently farthest from its own centroid. Deterministic in
-    (vectors, k, seed).
+    Iterations stop when no centroid moves more than 1e-6, or after 100
+    rounds with a RuntimeWarning. A cluster that empties is repaired by
+    seizing the point currently farthest from its own centroid, among the
+    points whose cluster keeps another member; so a repair never takes a
+    point seized in the same round, and always finds one when n >= k.
+    Deterministic in (vectors, k, seed).
     """
     data = as_frame_matrix(vectors)
     n = data.shape[0]
@@ -94,10 +101,12 @@ def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
         assign = np.argmin(dist, axis=1)
         point_cost = dist[np.arange(n), assign]
 
-        for cluster in range(k):
-            if np.any(assign == cluster):
-                continue
-            victim = int(np.argmax(point_cost))
+        sizes = np.bincount(assign, minlength=k)
+        for cluster in np.flatnonzero(sizes == 0):
+            donors = np.flatnonzero(sizes[assign] > 1)
+            victim = int(donors[np.argmax(point_cost[donors])])
+            sizes[assign[victim]] -= 1
+            sizes[cluster] = 1
             assign[victim] = cluster
             point_cost[victim] = 0.0
 
@@ -112,6 +121,12 @@ def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
         centroids = new_centroids
         if movement < KMEANS_TOL:
             break
+    else:
+        warnings.warn(
+            f"kmeans_fit: not converged after {KMEANS_MAX_ITER} rounds "
+            f"(last centroid movement {movement:.3g})",
+            RuntimeWarning,
+        )
     return Codebook(centroids=centroids, seed=seed)
 
 
@@ -128,7 +143,8 @@ def _plus_plus_init(
             pick = int(rng.choice(n, p=probs))
         else:
             # all remaining points coincide with a centroid
-            pick = next(i for i in range(n) if i not in set(chosen))
+            taken = set(chosen)
+            pick = next(i for i in range(n) if i not in taken)
         chosen.append(pick)
         closest = np.minimum(
             closest, _pairwise_sq_dists(data, data[pick][None, :])[:, 0]
@@ -137,9 +153,18 @@ def _plus_plus_init(
 
 
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (len(a), len(b))."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared Euclidean distances, (len(a), len(b)), in row blocks.
+
+    Each block's (rows, len(b), d) difference tensor holds at most
+    KMEANS_BLOCK elements, or one row of a, so scratch memory does not grow
+    with len(a). Every element is summed exactly as over the whole tensor.
+    """
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+    step = max(1, KMEANS_BLOCK // (b.shape[0] * b.shape[1]))
+    for i in range(0, a.shape[0], step):
+        diff = a[i:i + step, None, :] - b[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[i:i + step])
+    return out
 
 
 def vlad_encode(frames, codebook: Codebook) -> np.ndarray:

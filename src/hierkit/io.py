@@ -265,14 +265,36 @@ def _pack_blob(payload: bytes) -> bytes:
     return struct.pack("<I", len(payload)) + payload
 
 
-def _unpack_blob(data: bytes, offset: int) -> tuple[bytes, int]:
-    if offset + 4 > len(data):
+def _take(data: bytes, offset: int, size: int) -> tuple[bytes, int]:
+    """The ``size`` bytes at ``offset`` and the offset after them."""
+    end = offset + size
+    if end > len(data):
         raise ParseError("truncated container")
-    (size,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    if offset + size > len(data):
-        raise ParseError("truncated container")
-    return data[offset:offset + size], offset + size
+    return data[offset:end], end
+
+
+def _unpack_from(fmt_code: str, data: bytes, offset: int) -> tuple[tuple, int]:
+    raw, offset = _take(data, offset, struct.calcsize(fmt_code))
+    return struct.unpack(fmt_code, raw), offset
+
+
+def _unpack_text(data: bytes, offset: int) -> tuple[str, int]:
+    (size,), offset = _unpack_from("<I", data, offset)
+    raw, offset = _take(data, offset, size)
+    try:
+        return raw.decode("utf-8"), offset
+    except UnicodeDecodeError:
+        raise ParseError("container text is not UTF-8") from None
+
+
+def _unpack_header(data: bytes, magic: bytes, kind: str) -> int:
+    """Check magic and version; return the offset after them."""
+    if data[:4] != magic:
+        raise ParseError(f"not a {kind} container")
+    (version,), offset = _unpack_from("<B", data, 4)
+    if version != FORMAT_VERSION:
+        raise ParseError(f"unsupported {kind} version {version}")
+    return offset
 
 
 def write_codebook(codebook: Codebook, provenance: str = "") -> bytes:
@@ -287,18 +309,15 @@ def write_codebook(codebook: Codebook, provenance: str = "") -> bytes:
 
 
 def read_codebook(data: bytes) -> tuple[Codebook, str]:
-    if data[:4] != CODEBOOK_MAGIC:
-        raise ParseError("not a codebook container")
-    if data[4] != FORMAT_VERSION:
-        raise ParseError(f"unsupported codebook version {data[4]}")
-    provenance, offset = _unpack_blob(data, 5)
-    k, d, seed = struct.unpack_from("<IIQ", data, offset)
-    offset += 16
-    expected = offset + 8 * k * d
-    if len(data) != expected:
+    offset = _unpack_header(data, CODEBOOK_MAGIC, "codebook")
+    provenance, offset = _unpack_text(data, offset)
+    (k, d, seed), offset = _unpack_from("<IIQ", data, offset)
+    if k == 0 or d == 0:
+        raise ParseError("codebook declares an empty matrix")
+    if len(data) != offset + 8 * k * d:
         raise ParseError("codebook payload size mismatch")
     centroids = np.frombuffer(data, dtype="<f8", offset=offset).reshape(k, d)
-    return Codebook(centroids=centroids.copy(), seed=seed), provenance.decode("utf-8")
+    return Codebook(centroids=centroids.copy(), seed=seed), provenance
 
 
 def write_model(model: SvmModel, provenance: str = "") -> bytes:
@@ -319,21 +338,17 @@ def write_model(model: SvmModel, provenance: str = "") -> bytes:
 
 
 def read_model(data: bytes) -> tuple[SvmModel, str]:
-    if data[:4] != MODEL_MAGIC:
-        raise ParseError("not a model container")
-    if data[4] != FORMAT_VERSION:
-        raise ParseError(f"unsupported model version {data[4]}")
-    provenance, offset = _unpack_blob(data, 5)
-    n, c_value, bias = struct.unpack_from("<Idd", data, offset)
-    offset += 20
-    alpha = np.frombuffer(data, dtype="<f8", offset=offset, count=n).copy()
-    offset += 8 * n
-    labels = np.frombuffer(data, dtype="<i1", offset=offset, count=n)
-    offset += n
-    ids_blob, offset = _unpack_blob(data, offset)
+    offset = _unpack_header(data, MODEL_MAGIC, "model")
+    provenance, offset = _unpack_text(data, offset)
+    (n, c_value, bias), offset = _unpack_from("<Idd", data, offset)
+    raw_alpha, offset = _take(data, offset, 8 * n)
+    raw_labels, offset = _take(data, offset, n)
+    ids_text, offset = _unpack_text(data, offset)
     if offset != len(data):
         raise ParseError("model payload size mismatch")
-    train_ids = ids_blob.decode("utf-8").split("\n") if ids_blob else None
+    alpha = np.frombuffer(raw_alpha, dtype="<f8").copy()
+    labels = np.frombuffer(raw_labels, dtype="<i1")
+    train_ids = ids_text.split("\n") if ids_text else None
     model = SvmModel(
         alpha=alpha,
         labels=labels.astype(np.float64),
@@ -341,4 +356,4 @@ def read_model(data: bytes) -> tuple[SvmModel, str]:
         C=c_value,
         train_ids=train_ids,
     )
-    return model, provenance.decode("utf-8")
+    return model, provenance

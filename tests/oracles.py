@@ -216,6 +216,16 @@ def oracle_two_means(points: np.ndarray) -> list[np.ndarray]:
     return best_centroids
 
 
+def oracle_pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, (len(a), len(b)).
+
+    The library's original one-shot version, kept verbatim: it materializes
+    the whole (len(a), len(b), d) difference tensor.
+    """
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def oracle_chi2_distances(x, y=None, epsilon: float = 1e-10) -> np.ndarray:
     """Chi-squared distances one full row at a time, both triangles.
 

@@ -229,7 +229,6 @@ class TestEncodingCommands:
         code = run(
             "vlad", "--frames", *videos["paths"], "--k", "4", "--seed", "3",
             "--save-codebook", str(codebook), "--out", str(out1),
-            "--event", "E01",
         )
         assert code == 0
         out2 = tmp_path / "vlad2.csv"
@@ -247,6 +246,19 @@ class TestEncodingCommands:
         assert payload1 == payload2
         # k*d = 4*3
         assert len(payload1[0].split(",")) == 1 + 12
+
+    def test_vlad_on_identical_frames(self, tmp_path):
+        path = tmp_path / "same.bin"
+        path.write_bytes(write_frames_bin(np.ones((6, 3))))
+        out = tmp_path / "vlad.csv"
+        with pytest.warns(RuntimeWarning, match="zero aggregate"):
+            code = run(
+                "vlad", "--frames", str(path), "--k", "3", "--out", str(out),
+            )
+        assert code == 0
+        assert out.read_text().splitlines()[1] == "same," + ",".join(
+            ["0.0"] * 9
+        )
 
     def test_vlad_needs_codebook_or_k(self, videos, tmp_path):
         code = run(
@@ -401,6 +413,30 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1
+
+    def test_truncated_codebook_is_parse_error(self, videos, tmp_path):
+        codebook = tmp_path / "short.hkcb"
+        codebook.write_bytes(b"HKCB\x01" + bytes(5))
+        out = tmp_path / "vlad.csv"
+        code = run(
+            "vlad", "--frames", *videos["paths"], "--codebook", str(codebook),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_truncated_model_is_parse_error(self, tmp_path):
+        model = tmp_path / "short.hksv"
+        model.write_bytes(b"HKSV\x01" + bytes(5))
+        rows = tmp_path / "rows.csv"
+        rows.write_text("cols,a\nx,0.5\n")
+        out = tmp_path / "scores.csv"
+        code = run(
+            "score", "--model", str(model), "--gram-rows", str(rows),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
 
     def test_malformed_counts_is_parse_error(self, meta, tmp_path):
         bad = tmp_path / "bad_counts.tsv"

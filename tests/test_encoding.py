@@ -1,12 +1,17 @@
 """Pooling, codebook training, and VLAD encoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierkit import encoding
 from hierkit.encoding import (
+    KMEANS_BLOCK,
     Codebook,
+    _pairwise_sq_dists,
     average_pool,
     kmeans_fit,
     l1_normalize,
@@ -14,7 +19,7 @@ from hierkit.encoding import (
 )
 from hierkit.errors import ContractViolation
 
-from oracles import oracle_two_means
+from oracles import oracle_pairwise_sq_dists, oracle_two_means
 
 
 class TestL1Normalize:
@@ -72,6 +77,60 @@ class TestAveragePool:
             average_pool(np.zeros((0, 4)))
 
 
+class TestPairwiseSqDists:
+    @staticmethod
+    def check(n, k, d, seed=0):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, d))
+        b = rng.normal(size=(k, d))
+        got = _pairwise_sq_dists(a, b)
+        assert got.shape == (n, k)
+        np.testing.assert_array_equal(got, oracle_pairwise_sq_dists(a, b))
+
+    @pytest.mark.parametrize("k,d", [(64, 128), (5, 3), (7, 1)])
+    def test_rows_around_block_edges(self, k, d):
+        step = KMEANS_BLOCK // (k * d)
+        for n in (step - 1, step, step + 1, 2 * step + 1):
+            self.check(n, k, d)
+
+    def test_wide_rows_fall_back_to_one_row_per_block(self):
+        k, d = 40, KMEANS_BLOCK // 40 + 1
+        assert k * d > KMEANS_BLOCK
+        self.check(3, k, d)
+
+    def test_single_row(self):
+        self.check(1, 64, 128)
+        self.check(1, 1, 1)
+
+    def test_oracle_gives_same_codebook_and_vlad(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        frames = rng.normal(size=(700, 16))
+        codebook = kmeans_fit(frames, k=9, seed=2)
+        encoded = vlad_encode(frames[:300], codebook)
+        monkeypatch.setattr(
+            encoding, "_pairwise_sq_dists", oracle_pairwise_sq_dists
+        )
+        oracle_codebook = kmeans_fit(frames, k=9, seed=2)
+        assert (
+            oracle_codebook.centroids.tobytes() == codebook.centroids.tobytes()
+        )
+        assert (
+            vlad_encode(frames[:300], oracle_codebook).tobytes()
+            == encoded.tobytes()
+        )
+
+    def test_kmeans_peak_memory_does_not_grow_with_frames(self):
+        # the one-shot (n, k, d) tensor alone would be 2000*64*128*8 = 131 MB
+        data = np.random.default_rng(0).normal(size=(2000, 128))
+        tracemalloc.start()
+        try:
+            kmeans_fit(data, k=64, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
 class TestKmeans:
     def test_k_equals_distinct_vectors(self):
         vectors = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
@@ -103,6 +162,27 @@ class TestKmeans:
         data = np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5)
         codebook = kmeans_fit(data, k=2, seed=4)
         assert codebook.centroids.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "data",
+        [np.ones((6, 3)), np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])],
+    )
+    def test_coincident_points_repair_without_nan(self, data):
+        for seed in range(5):
+            first = kmeans_fit(data, k=3, seed=seed)
+            assert np.all(np.isfinite(first.centroids))
+            second = kmeans_fit(data, k=3, seed=seed)
+            np.testing.assert_array_equal(first.centroids, second.centroids)
+        # every distinct point is a centroid
+        got = {tuple(c) for c in first.centroids}
+        assert got == {tuple(p) for p in data}
+
+    def test_non_convergence_warns(self, monkeypatch):
+        monkeypatch.setattr(encoding, "KMEANS_MAX_ITER", 1)
+        data = np.random.default_rng(6).normal(size=(50, 3))
+        with pytest.warns(RuntimeWarning, match="not converged after 1"):
+            codebook = kmeans_fit(data, k=4, seed=0)
+        assert np.all(np.isfinite(codebook.centroids))
 
 
 class TestVlad:

@@ -1,9 +1,12 @@
 """File formats: frames, vectors, grams, scores, binary containers."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierkit.encoding import Codebook
 from hierkit.errors import ParseError
@@ -130,6 +133,12 @@ class TestContainers:
         with pytest.raises(ParseError):
             read_codebook(b"NOPE" + bytes(40))
 
+    @pytest.mark.parametrize("k,d", [(0, 3), (2, 0)])
+    def test_empty_codebook_rejected(self, k, d):
+        blob = b"HKCB\x01" + struct.pack("<IIIQ", 0, k, d, 0)
+        with pytest.raises(ParseError):
+            read_codebook(blob)
+
     def test_model_roundtrip(self):
         model = SvmModel(
             alpha=np.array([0.0, 1.5, 100.0]),
@@ -166,6 +175,85 @@ class TestContainers:
         blob = write_model(model)
         with pytest.raises(ParseError):
             read_model(blob + b"extra")
+
+
+def _codebook_bytes(k, d, text):
+    centroids = np.arange(k * d, dtype=np.float64).reshape(k, d) / 7.0
+    return write_codebook(Codebook(centroids=centroids, seed=k), text)
+
+
+def _model_bytes(n, text):
+    model = SvmModel(
+        alpha=np.linspace(0.0, 1.0, n),
+        labels=np.where(np.arange(n) % 2 == 0, 1.0, -1.0),
+        bias=0.25,
+        C=1.0,
+        train_ids=[f"{text}{i}" for i in range(n)] or None,
+    )
+    return write_model(model, text)
+
+
+def _parsed_or_rejected(reader, data):
+    """Run a container reader; anything but a result or ParseError fails."""
+    try:
+        obj, provenance = reader(data)
+    except ParseError:
+        return None
+    assert isinstance(provenance, str)
+    return obj
+
+
+_texts = st.text(max_size=6)
+_codebooks = st.builds(
+    _codebook_bytes, st.integers(1, 4), st.integers(1, 4), _texts
+)
+_models = st.builds(_model_bytes, st.integers(0, 5), _texts)
+
+
+class TestContainerFuzz:
+    @settings(max_examples=60)
+    @given(_codebooks, st.data())
+    def test_codebook_prefix_is_rejected(self, blob, data):
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        assert _parsed_or_rejected(read_codebook, blob[:cut]) is None
+
+    @settings(max_examples=60)
+    @given(_models, st.data())
+    def test_model_prefix_is_rejected(self, blob, data):
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        assert _parsed_or_rejected(read_model, blob[:cut]) is None
+
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from([b"", b"HKCB\x01", b"HKSV\x01"]),
+        st.binary(max_size=64),
+    )
+    def test_arbitrary_bytes_parse_or_raise_parse_error(self, head, tail):
+        book = _parsed_or_rejected(read_codebook, head + tail)
+        if book is not None:
+            assert book.centroids.shape == (book.k, book.dim)
+            assert book.k >= 1 and book.dim >= 1
+        model = _parsed_or_rejected(read_model, head + tail)
+        if model is not None:
+            assert model.alpha.shape == model.labels.shape
+
+    @settings(max_examples=200)
+    @given(st.one_of(_codebooks, _models), st.data())
+    def test_corrupted_byte_parses_or_raises_parse_error(self, blob, data):
+        at = data.draw(st.integers(0, len(blob) - 1))
+        value = data.draw(st.integers(0, 255))
+        bad = blob[:at] + bytes([value]) + blob[at + 1:]
+        _parsed_or_rejected(read_codebook, bad)
+        _parsed_or_rejected(read_model, bad)
+
+    @pytest.mark.parametrize("reader", [read_codebook, read_model])
+    @pytest.mark.parametrize("size", [4, 5, 10, 30])
+    def test_short_container_is_parse_error(self, reader, size):
+        blob = _codebook_bytes(2, 3, "p") if reader is read_codebook else (
+            _model_bytes(3, "p")
+        )
+        with pytest.raises(ParseError):
+            reader(blob[:size])
 
 
 class TestAtomicWrite:
