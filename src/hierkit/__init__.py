@@ -23,7 +23,6 @@ from .evaluation import (
 )
 from .labelmap import LabelClass, LabelMap, read_label_map, write_label_map
 from .svm import (
-    KernelConfig,
     SvmModel,
     chi2_kernel,
     kkt_violation,
@@ -40,7 +39,6 @@ from .taxonomy import (
     parse_isa_edges,
     parse_names,
     stats,
-    subtree_count,
     subtree_counts,
 )
 from .topdown import (
@@ -81,7 +79,6 @@ __all__ = [
     "LabelMap",
     "read_label_map",
     "write_label_map",
-    "KernelConfig",
     "SvmModel",
     "chi2_kernel",
     "kkt_violation",
@@ -96,7 +93,6 @@ __all__ = [
     "parse_isa_edges",
     "parse_names",
     "stats",
-    "subtree_count",
     "subtree_counts",
     "SelectionResult",
     "TopDownConfig",

@@ -54,7 +54,6 @@ MergeLog = list[MergeRecord]
 class PlanEntry:
     class_id: int
     target_count: int
-    assigned_count: int
 
 
 @dataclass
@@ -217,7 +216,6 @@ def subsample_plan(
         PlanEntry(
             class_id=cls.class_id,
             target_count=min(cls.assigned_count, t_s),
-            assigned_count=cls.assigned_count,
         )
         for cls in label_map.classes
     ]
@@ -317,6 +315,8 @@ def read_plan(text: str) -> SubsamplePlan:
         rule = header["rule"]
     except (KeyError, ValueError):
         raise ParseError("bad subsample-plan header", line=1) from None
+    if not 0 <= seed < 2**64:
+        raise ParseError("plan seed must fit in 64 unsigned bits", line=1)
     entries: list[PlanEntry] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip() or raw.startswith("#"):
@@ -328,15 +328,12 @@ def read_plan(text: str) -> SubsamplePlan:
                 line=lineno,
             )
         try:
-            entries.append(
-                PlanEntry(
-                    class_id=int(fields[0]),
-                    target_count=int(fields[1]),
-                    assigned_count=int(fields[1]),
-                )
-            )
+            class_id, target, line_seed = map(int, fields)
         except ValueError:
             raise ParseError(f"non-numeric field in {raw!r}", line=lineno) from None
-        if int(fields[2]) != seed:
+        if target < 0:
+            raise ParseError(f"negative target {target}", line=lineno)
+        if line_seed != seed:
             raise ParseError("per-line seed differs from header", line=lineno)
+        entries.append(PlanEntry(class_id=class_id, target_count=target))
     return SubsamplePlan(entries=entries, t_s=t_s, seed=seed, rule=rule)

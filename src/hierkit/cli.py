@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .encoding import average_pool, kmeans_fit, vlad_encode
 from .errors import ContractViolation, HierkitError, ParseError
 from .evaluation import ScoredList, late_fuse, mean_average_precision
 from .io import (
+    _records,
     atomic_write_bytes,
     atomic_write_text,
     fmt,
@@ -87,13 +87,6 @@ def _emit(path: str | None, text: str) -> None:
         atomic_write_text(path, text)
     else:
         sys.stdout.write(text)
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_taxonomy(ns):
@@ -199,11 +192,7 @@ def _cmd_export_trainlist(ns, prov: str) -> int:
 
     class_of = label_map.class_of_synset()
     per_class: dict[int, list[str]] = {}
-    for lineno, raw in enumerate(_read_text(ns.images).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+    for lineno, raw, fields in _records(_read_text(ns.images), "\t"):
         if len(fields) != 2:
             raise ParseError(
                 f"expected 'image_id<TAB>synset_id', got {raw!r}", line=lineno
@@ -233,11 +222,7 @@ def _cmd_export_trainlist(ns, prov: str) -> int:
 
 def _cmd_pool(ns, prov: str) -> int:
     ids = _frame_ids(ns.frames)
-    vectors = _parallel_map(
-        lambda path: average_pool(read_frames_file(path, ns.format)),
-        ns.frames,
-        ns.threads,
-    )
+    vectors = [average_pool(read_frames_file(path, ns.format)) for path in ns.frames]
     atomic_write_text(ns.out, write_vectors_csv(ids, np.vstack(vectors), header=prov))
     return 0
 
@@ -255,9 +240,7 @@ def _cmd_vlad(ns, prov: str) -> int:
             atomic_write_bytes(
                 ns.save_codebook, write_codebook(codebook, provenance=prov)
             )
-    encodings = _parallel_map(
-        lambda arr: vlad_encode(arr, codebook), matrices, ns.threads
-    )
+    encodings = [vlad_encode(arr, codebook) for arr in matrices]
     atomic_write_text(ns.out, write_vectors_csv(ids, np.vstack(encodings), header=prov))
     return 0
 
@@ -308,13 +291,9 @@ def _cmd_score(ns, prov: str) -> int:
         raise ContractViolation(
             "gram-rows columns do not match the model's training items"
         )
-    chunks = _parallel_map(
-        lambda i: float(svm_score(model, rows[i])[0]),
-        range(len(row_ids)),
-        ns.threads,
-    )
+    scores = [float(svm_score(model, row)[0]) for row in rows]
     atomic_write_text(
-        ns.out, write_scores_csv(list(zip(row_ids, chunks)), header=prov)
+        ns.out, write_scores_csv(list(zip(row_ids, scores)), header=prov)
     )
     return 0
 
@@ -409,7 +388,6 @@ def _build_parser() -> _Parser:
     def frames_args(p):
         p.add_argument("--frames", nargs="+", required=True)
         p.add_argument("--format", choices=["csv", "bin"])
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", required=True)
 
     def p_vlad(p):
@@ -435,7 +413,6 @@ def _build_parser() -> _Parser:
     def p_score(p):
         p.add_argument("--model", required=True)
         p.add_argument("--gram-rows", dest="gram_rows", required=True)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", required=True)
 
     def p_fuse(p):
@@ -464,23 +441,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _provenance_tokens(argv: list[str]) -> list[str]:
-    """argv minus --threads, which never changes results."""
-    out: list[str] = []
-    skip_next = False
-    for token in argv:
-        if skip_next:
-            skip_next = False
-            continue
-        if token == "--threads":
-            skip_next = True
-            continue
-        if token.startswith("--threads="):
-            continue
-        out.append(token)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -488,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
         if not getattr(ns, "handler", None):
             raise UsageError("a subcommand is required")
-        prov = f"hierkit {__version__} " + " ".join(_provenance_tokens(argv))
+        prov = f"hierkit {__version__} " + " ".join(argv)
         return ns.handler(ns, prov)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -91,6 +91,8 @@ def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
         raise ContractViolation(f"k must be >= 1, got {k}")
     if n < k:
         raise ContractViolation(f"need at least k={k} vectors, got {n}")
+    if not 0 <= seed < 2**64:
+        raise ContractViolation("seed must fit in 64 unsigned bits")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     centroids = _plus_plus_init(data, k, rng)

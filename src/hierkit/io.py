@@ -5,14 +5,14 @@ Formats handled here:
 * frame features per video: CSV (one frame per line) or binary
   ``u32 frame_count, u32 dim, f32 row-major`` (little-endian)
 * id-tagged vector CSV: ``item_id,v1,...,vd``
-* labeled Gram CSV: optional ``#`` comments, a ``cols,<id>,...`` line,
-  then ``row_id,<value>,...`` rows
+* labeled Gram CSV: a ``cols,<id>,...`` line, then ``row_id,<value>,...``
+  rows
 * score/label CSV: ``item_id,score`` / ``item_id,label``
 * binary containers for codebooks (magic ``HKCB``) and SVM models
   (magic ``HKSV``), each with a format-version byte
 
-Floats are rendered with ``repr`` so output is byte-stable and re-parses to
-the same double.
+Every CSV reader skips blank and ``#`` comment lines. Floats are rendered
+with ``repr`` so output is byte-stable and re-parses to the same double.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from .svm import SvmModel
 CODEBOOK_MAGIC = b"HKCB"
 MODEL_MAGIC = b"HKSV"
 FORMAT_VERSION = 1
+# The solver's pair updates can leave an alpha a few ulps outside [0, C];
+# a model is rejected only beyond this fraction of C.
+ALPHA_SLACK = 1e-9
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -61,26 +64,58 @@ def _parse_float(token: str, lineno: int) -> float:
         raise ParseError(f"non-numeric value {token!r}", line=lineno) from None
 
 
-# -- frame matrices ---------------------------------------------------------
+def _floats(tokens: list[str], lineno: int) -> list[float]:
+    try:
+        return list(map(float, tokens))
+    except ValueError:  # re-parse one by one to name the first bad token
+        return [_parse_float(tok, lineno) for tok in tokens]
 
-def read_frames_csv(text: str) -> np.ndarray:
-    rows = []
-    width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+
+def _records(text: str, sep: str = ","):
+    """``(lineno, raw, fields)`` for every line that is neither blank nor a
+    ``#`` comment once stripped: the one line grammar of every CSV and of
+    ``images.tsv``.
+
+    The text is released before the first record, so a large input is not
+    held twice while it is parsed.
+    """
+    lines = text.splitlines()
+    del text
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        values = [_parse_float(tok, lineno) for tok in line.split(",")]
+        if line and not line.startswith("#"):
+            yield lineno, raw, line.split(sep)
+
+
+def _float_rows(text: str, id_fields: int,
+                kind: str) -> tuple[list[str], np.ndarray]:
+    """Equal-width float rows, each after ``id_fields`` leading ids."""
+    ids: list[str] = []
+    rows: list[list[float]] = []
+    width = None
+    for lineno, raw, tokens in _records(text):
+        if len(tokens) <= id_fields:
+            raise ParseError(
+                f"expected 'item_id,v1,...', got {raw!r}", line=lineno
+            )
+        values = _floats(tokens[id_fields:], lineno)
         if width is None:
             width = len(values)
         elif len(values) != width:
             raise ParseError(
                 f"row has {len(values)} values, expected {width}", line=lineno
             )
+        ids.extend(tokens[:id_fields])
         rows.append(values)
     if not rows:
-        raise ParseError("no frame rows found")
-    return np.asarray(rows, dtype=np.float64)
+        raise ParseError(f"no {kind} rows found")
+    return ids, np.asarray(rows, dtype=np.float64)
+
+
+# -- frame matrices ---------------------------------------------------------
+
+def read_frames_csv(text: str) -> np.ndarray:
+    return _float_rows(text, 0, "frame")[1]
 
 
 def write_frames_csv(frames: np.ndarray) -> str:
@@ -130,32 +165,10 @@ def read_frames_file(path: str, fmt_name: str | None = None) -> np.ndarray:
 # -- id-tagged vectors ------------------------------------------------------
 
 def read_vectors_csv(text: str) -> tuple[list[str], np.ndarray]:
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split(",")
-        if len(tokens) < 2:
-            raise ParseError(
-                f"expected 'item_id,v1,...', got {raw!r}", line=lineno
-            )
-        values = [_parse_float(tok, lineno) for tok in tokens[1:]]
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ParseError(
-                f"row has {len(values)} values, expected {width}", line=lineno
-            )
-        ids.append(tokens[0])
-        rows.append(values)
-    if not rows:
-        raise ParseError("no vector rows found")
+    ids, vectors = _float_rows(text, 1, "vector")
     if len(set(ids)) != len(ids):
         raise ParseError("duplicate item ids in vector file")
-    return ids, np.asarray(rows, dtype=np.float64)
+    return ids, vectors
 
 
 def write_vectors_csv(ids: list[str], vectors: np.ndarray,
@@ -187,11 +200,7 @@ def read_gram_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
     row_ids: list[str] = []
     col_ids: list[str] | None = None
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split(",")
+    for lineno, raw, tokens in _records(text):
         if col_ids is None:
             if tokens[0] != "cols" or len(tokens) < 2:
                 raise ParseError(
@@ -205,7 +214,7 @@ def read_gram_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
                 line=lineno,
             )
         row_ids.append(tokens[0])
-        rows.append([_parse_float(tok, lineno) for tok in tokens[1:]])
+        rows.append(_floats(tokens[1:], lineno))
     if col_ids is None or not rows:
         raise ParseError("no gram rows found")
     if len(set(row_ids)) != len(row_ids):
@@ -219,11 +228,7 @@ def read_gram_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
 
 def read_scores_csv(text: str) -> list[tuple[str, float]]:
     out: list[tuple[str, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split(",")
+    for lineno, raw, tokens in _records(text):
         if len(tokens) != 2:
             raise ParseError(
                 f"expected 'item_id,score', got {raw!r}", line=lineno
@@ -243,11 +248,7 @@ def write_scores_csv(scores: list[tuple[str, float]],
 
 def read_labels_csv(text: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split(",")
+    for lineno, raw, tokens in _records(text):
         if len(tokens) != 2 or tokens[1] not in ("0", "1"):
             raise ParseError(
                 f"expected 'item_id,label' with label 0 or 1, got {raw!r}",
@@ -348,6 +349,15 @@ def read_model(data: bytes) -> tuple[SvmModel, str]:
         raise ParseError("model payload size mismatch")
     alpha = np.frombuffer(raw_alpha, dtype="<f8").copy()
     labels = np.frombuffer(raw_labels, dtype="<i1")
+    if not np.all((labels == -1) | (labels == 1)):
+        raise ParseError("model labels must be -1 or +1")
+    if not (np.isfinite(c_value) and c_value > 0):
+        raise ParseError(f"model C must be finite and > 0, got {c_value}")
+    slack = ALPHA_SLACK * c_value
+    if not np.all((alpha >= -slack) & (alpha <= c_value + slack)):
+        raise ParseError("model alpha outside [0, C]")
+    if not np.isfinite(bias):
+        raise ParseError(f"model bias must be finite, got {bias}")
     train_ids = ids_text.split("\n") if ids_text else None
     model = SvmModel(
         alpha=alpha,

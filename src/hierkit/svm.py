@@ -23,20 +23,6 @@ MAX_PAIR_UPDATES = 100_000
 CHI2_BLOCK = 32768
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    gamma: float
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ContractViolation(f"gamma must be > 0, got {self.gamma}")
-        if not self.epsilon > 0:
-            raise ContractViolation(
-                f"epsilon must be > 0, got {self.epsilon}"
-            )
-
-
 @dataclass
 class SvmModel:
     alpha: np.ndarray      # dual coefficients, 0 <= alpha_i <= C
@@ -104,17 +90,9 @@ def chi2_distances(x, y=None, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     return out
 
 
-def chi2_kernel(x, y=None, config: KernelConfig | None = None,
-                gamma: float | None = None,
-                epsilon: float | None = None) -> np.ndarray:
+def chi2_kernel(x, y=None, *, gamma: float,
+                epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """K[i][j] = exp(-gamma * chi2(x_i, y_j)); 1.0 exactly on the diagonal."""
-    if config is not None:
-        gamma = config.gamma if gamma is None else gamma
-        epsilon = config.epsilon if epsilon is None else epsilon
-    if gamma is None:
-        raise ContractViolation("gamma is required (pass a value or a config)")
-    if epsilon is None:
-        epsilon = DEFAULT_EPSILON
     if not gamma > 0:
         raise ContractViolation(f"gamma must be > 0, got {gamma}")
     return np.exp(-gamma * chi2_distances(x, y, epsilon=epsilon))

@@ -312,18 +312,6 @@ def subtree_counts(taxonomy: Taxonomy) -> dict[SynsetId, int]:
     return out
 
 
-def subtree_count(taxonomy: Taxonomy, synset: SynsetId) -> int:
-    """Images at ``synset`` plus everything below it."""
-    node = taxonomy.node(synset)
-    total = 0
-    stack = [node.id]
-    while stack:
-        cur = taxonomy.nodes[stack.pop()]
-        total += cur.direct_count
-        stack.extend(cur.children)
-    return total
-
-
 def stats(taxonomy: Taxonomy) -> StatsReport:
     """Summarize class-count imbalance and tree shape.
 

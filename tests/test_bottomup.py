@@ -212,17 +212,21 @@ class TestSubsamplePlan:
         )
         return label_map
 
+    def by_count(self, label_map, plan):
+        assigned = {c.class_id: c.assigned_count for c in label_map.classes}
+        for e in plan.entries:
+            assert e.target_count == min(assigned[e.class_id], plan.t_s)
+        return {assigned[e.class_id]: e.target_count for e in plan.entries}
+
     def test_overfull_class_capped(self):
         label_map = self.make_map(3072)
         plan = subsample_plan(label_map, 2000, seed=7)
-        by_count = {e.assigned_count: e.target_count for e in plan.entries}
-        assert by_count[3072] == 2000
+        assert self.by_count(label_map, plan)[3072] == 2000
 
     def test_small_class_kept_whole(self):
         label_map = self.make_map(100)
         plan = subsample_plan(label_map, 2000, seed=7)
-        by_count = {e.assigned_count: e.target_count for e in plan.entries}
-        assert by_count[100] == 100
+        assert self.by_count(label_map, plan)[100] == 100
 
     def test_selection_deterministic_per_seed(self):
         first = selected_indices(7, 3, 3072, 2000)

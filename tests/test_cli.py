@@ -1,5 +1,7 @@
 """CLI subcommands: happy paths, exit codes, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from hierkit.io import (
     write_frames_bin,
     write_frames_csv,
     write_gram_csv,
+    write_model,
 )
 from hierkit.labelmap import read_label_map
+from hierkit.svm import SvmModel
 
 from oracles import oracle_chi2_distances
 
@@ -179,6 +183,56 @@ class TestTrainList:
         a_lines = [l for l in lines if l.endswith(f"\t{class_a}")]
         assert len(a_lines) == 3  # capped by t_s
         assert any(l.startswith("imgC0\t") for l in lines)
+
+    @pytest.mark.parametrize("pattern,repl", [
+        (r"\t9$", "\tx"),                    # per-line seed
+        (r"^(\d+)\t\d+\t", r"\1\t-1\t"),     # target
+        (r"(seed=|\t)9$", r"\1-1"),          # header and per-line seed
+    ], ids=["seed_field_x", "negative_target", "negative_header_seed"])
+    def test_malformed_plan_is_parse_error(self, meta, tmp_path, pattern,
+                                           repl):
+        labelmap_path = tmp_path / "lm.tsv"
+        plan_path = tmp_path / "plan.tsv"
+        assert run(
+            "reorg-bottomup", "--isa", meta["isa"], "--counts", meta["counts"],
+            "--tb", "0", "--tp", "0", "--ts", "3", "--seed", "9",
+            "--out", str(labelmap_path), "--plan-out", str(plan_path),
+        ) == 0
+        text = plan_path.read_text()
+        edited = re.sub(pattern, repl, text, flags=re.MULTILINE)
+        assert edited != text
+        plan_path.write_text(edited)
+        images = tmp_path / "images.tsv"
+        images.write_text("".join(f"imgA{i}\tA\n" for i in range(10)))
+        out = tmp_path / "train.tsv"
+        code = run(
+            "export-trainlist", "--labelmap", str(labelmap_path),
+            "--images", str(images), "--plan", str(plan_path),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_images_skip_blank_and_comment_lines(self, meta, tmp_path,
+                                                 capsys):
+        labelmap_path = tmp_path / "lm.tsv"
+        assert run(
+            "reorg-bottomup", "--isa", meta["isa"], "--counts", meta["counts"],
+            "--tb", "0", "--tp", "0", "--ts", "2000",
+            "--out", str(labelmap_path),
+        ) == 0
+        images = tmp_path / "images.tsv"
+        images.write_text("# id\tsynset\r\ni1\tA\r\n\n  \n #x\tA\ni2\tA\n")
+        out = tmp_path / "train.tsv"
+        argv = ["export-trainlist", "--labelmap", str(labelmap_path),
+                "--images", str(images), "--out", str(out)]
+        assert run(*argv) == 0
+        assert [l.split("\t")[0] for l in out.read_text().splitlines()
+                if not l.startswith("#")] == ["i1", "i2"]
+        images.write_text("# id\tsynset\n\ni1\tA\nbad line\n")
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert "line 4:" in capsys.readouterr().err
 
     def test_export_without_plan_keeps_everything(self, meta, tmp_path):
         labelmap_path = tmp_path / "lm.tsv"
@@ -414,6 +468,54 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1
 
+    @pytest.mark.parametrize("subcommand", ["pool", "vlad", "score"])
+    def test_threads_is_usage_error(self, subcommand, videos, tmp_path):
+        model = tmp_path / "model.hksv"
+        model.write_bytes(write_model(SvmModel(
+            alpha=np.array([0.5, 0.5]), labels=np.array([1.0, -1.0]),
+            bias=0.0, C=1.0,
+        )))
+        rows = tmp_path / "rows.csv"
+        rows.write_text("cols,a,b\nx,0.5,0.25\n")
+        inputs = {
+            "pool": ["--frames", *videos["paths"]],
+            "vlad": ["--frames", *videos["paths"], "--k", "2"],
+            "score": ["--model", str(model), "--gram-rows", str(rows)],
+        }[subcommand]
+        out = tmp_path / "out.csv"
+        assert run(subcommand, *inputs, "--out", str(out)) == 0
+        out.unlink()
+        assert run(subcommand, *inputs, "--threads", "2", "--out", str(out)) == 1
+        assert not out.exists()
+
+    def test_negative_kmeans_seed_is_contract_violation(self, videos, tmp_path):
+        out = tmp_path / "vlad.csv"
+        code = run(
+            "vlad", "--frames", *videos["paths"], "--k", "2", "--seed", "-1",
+            "--out", str(out),
+        )
+        assert code == 3
+        assert not out.exists()
+
+    def test_invalid_model_label_is_parse_error(self, tmp_path):
+        blob = write_model(SvmModel(
+            alpha=np.array([0.5, 0.5]), labels=np.array([1.0, -1.0]),
+            bias=0.0, C=1.0, train_ids=["a", "b"],
+        ))
+        labels_at = 29 + 8 * 2  # empty provenance, then n, C, bias, alpha
+        assert blob[labels_at:labels_at + 2] == b"\x01\xff"
+        model = tmp_path / "bad.hksv"
+        model.write_bytes(blob[:labels_at] + b"\x05" + blob[labels_at + 1:])
+        rows = tmp_path / "rows.csv"
+        rows.write_text("cols,a,b\nx,0.5,0.25\n")
+        out = tmp_path / "scores.csv"
+        code = run(
+            "score", "--model", str(model), "--gram-rows", str(rows),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_truncated_codebook_is_parse_error(self, videos, tmp_path):
         codebook = tmp_path / "short.hkcb"
         codebook.write_bytes(b"HKCB\x01" + bytes(5))
@@ -492,16 +594,3 @@ class TestExitCodes:
         )
         assert code == 2
         assert not model.exists()
-
-
-class TestThreads:
-    def test_thread_count_does_not_change_output(self, videos, tmp_path):
-        compare = {}
-        for threads in ("1", "8"):
-            out = tmp_path / f"pooled{threads}.csv"
-            run(
-                "pool", "--frames", *videos["paths"],
-                "--threads", threads, "--out", str(out),
-            )
-            compare[threads] = out.read_bytes()
-        assert compare["1"].split(b"\n", 1)[1] == compare["8"].split(b"\n", 1)[1]

@@ -18,6 +18,7 @@ from hierkit.encoding import (
     vlad_encode,
 )
 from hierkit.errors import ContractViolation
+from hierkit.io import read_codebook, write_codebook
 
 from oracles import oracle_pairwise_sq_dists, oracle_two_means
 
@@ -157,6 +158,16 @@ class TestKmeans:
     def test_too_few_vectors_rejected(self):
         with pytest.raises(ContractViolation):
             kmeans_fit(np.zeros((2, 3)), k=5, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(ContractViolation, match="64 unsigned bits"):
+            kmeans_fit(np.eye(3), k=2, seed=seed)
+
+    def test_largest_seed_fits_the_codebook_format(self):
+        codebook = kmeans_fit(np.eye(3), k=2, seed=2**64 - 1)
+        parsed, _ = read_codebook(write_codebook(codebook))
+        assert parsed.seed == 2**64 - 1
 
     def test_duplicate_points_tolerated(self):
         data = np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5)

@@ -1,5 +1,6 @@
 """File formats: frames, vectors, grams, scores, binary containers."""
 
+import math
 import os
 import struct
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierkit.bottomup import read_plan
 from hierkit.encoding import Codebook
 from hierkit.errors import ParseError
 from hierkit.io import (
@@ -28,7 +30,17 @@ from hierkit.io import (
     write_scores_csv,
     write_vectors_csv,
 )
+from hierkit.labelmap import read_label_map
 from hierkit.svm import SvmModel
+from hierkit.taxonomy import parse_counts, parse_isa_edges, parse_names
+
+from oracles import (
+    oracle_read_frames_csv,
+    oracle_read_gram_csv,
+    oracle_read_labels_csv,
+    oracle_read_scores_csv,
+    oracle_read_vectors_csv,
+)
 
 
 class TestFrames:
@@ -118,6 +130,18 @@ class TestScoresAndLabels:
             read_labels_csv("a,2\n")
 
 
+_MODEL = SvmModel(
+    alpha=np.array([0.0, 0.5, 1.0]),
+    labels=np.array([1.0, -1.0, 1.0]),
+    bias=0.25,
+    C=1.0,
+)
+# write_model with empty provenance: magic, version, u32 0, u32 n, f64 C,
+# f64 bias, f64 alpha[n], i8 labels[n], ids blob
+_C_AT, _BIAS_AT, _ALPHA_AT = 13, 21, 29
+_LABELS_AT = _ALPHA_AT + 8 * 3
+
+
 class TestContainers:
     def test_codebook_roundtrip(self):
         codebook = Codebook(
@@ -175,6 +199,44 @@ class TestContainers:
         blob = write_model(model)
         with pytest.raises(ParseError):
             read_model(blob + b"extra")
+
+    def test_model_field_offsets(self):
+        blob = write_model(_MODEL)
+        assert struct.unpack_from("<dd", blob, _C_AT) == (1.0, 0.25)
+        assert struct.unpack_from("<3d", blob, _ALPHA_AT) == (0.0, 0.5, 1.0)
+        assert struct.unpack_from("<3b", blob, _LABELS_AT) == (1, -1, 1)
+
+    @pytest.mark.parametrize("at,fmt_code,value", [
+        (_LABELS_AT, "<b", 5),
+        (_LABELS_AT + 1, "<b", 0),
+        (_C_AT, "<d", -3.0),
+        (_C_AT, "<d", 0.0),
+        (_C_AT, "<d", math.inf),
+        (_C_AT, "<d", math.nan),
+        (_BIAS_AT, "<d", math.nan),
+        (_BIAS_AT, "<d", -math.inf),
+        (_ALPHA_AT, "<d", -0.5),
+        (_ALPHA_AT + 8, "<d", 1.5),
+        (_ALPHA_AT + 16, "<d", math.nan),
+        (_ALPHA_AT + 16, "<d", math.inf),
+    ])
+    def test_invalid_model_field_rejected(self, at, fmt_code, value):
+        blob = write_model(_MODEL)
+        size = struct.calcsize(fmt_code)
+        bad = blob[:at] + struct.pack(fmt_code, value) + blob[at + size:]
+        with pytest.raises(ParseError):
+            read_model(bad)
+
+    def test_alpha_rounded_past_its_box_loads(self):
+        # the solver's pair updates can land a few ulps outside [0, C]
+        model = SvmModel(
+            alpha=np.array([-5e-17, 0.5, np.nextafter(1.0, 2.0)]),
+            labels=np.array([1.0, -1.0, 1.0]),
+            bias=0.25,
+            C=1.0,
+        )
+        parsed, _ = read_model(write_model(model))
+        np.testing.assert_array_equal(parsed.alpha, model.alpha)
 
 
 def _codebook_bytes(k, d, text):
@@ -264,3 +326,161 @@ class TestAtomicWrite:
         assert target.read_text() == "two\n"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".hierkit")]
         assert leftovers == []
+
+
+# -- text readers against the original loops, and under fuzzing -------------
+
+def _assert_same(got, expected):
+    if isinstance(expected, np.ndarray):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+    elif isinstance(expected, (list, tuple)):
+        assert type(got) is type(expected) and len(got) == len(expected)
+        for g, e in zip(got, expected):
+            _assert_same(g, e)
+    elif isinstance(expected, dict):
+        assert list(got) == list(expected)
+        for key in expected:
+            _assert_same(got[key], expected[key])
+    elif isinstance(expected, float):
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+    else:
+        assert got == expected
+
+
+def _same_outcome(reader, oracle, text):
+    """The reader returns what the oracle returns, or the same ParseError."""
+    try:
+        expected = oracle(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            reader(text)
+        assert str(got.value) == str(exc)
+        return
+    _assert_same(reader(text), expected)
+
+
+_ids = st.text(alphabet="abv01 _-", min_size=1, max_size=3)
+_values = st.floats(width=64)
+
+
+@st.composite
+def _csv_text(draw, kind):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    matrix = np.array(draw(st.lists(
+        st.lists(_values, min_size=d, max_size=d), min_size=n, max_size=n
+    )))
+    ids = draw(st.lists(_ids, min_size=n, max_size=n))
+    header = draw(st.one_of(st.none(), st.just("hierkit 0.1.0 test")))
+    if kind == "frames":
+        return write_frames_csv(matrix)
+    if kind == "vectors":
+        return write_vectors_csv(ids, matrix, header=header)
+    if kind == "gram":
+        cols = draw(st.lists(_ids, min_size=d, max_size=d))
+        return write_gram_csv(ids, cols, matrix, header=header)
+    if kind == "scores":
+        return write_scores_csv(list(zip(ids, matrix[:, 0])), header=header)
+    labels = draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
+    return "".join(f"{i},{v}\n" for i, v in zip(ids, labels))
+
+
+_BAD_TOKENS = ("x", "", " ", "1..2", "--1", "0x1", "2")
+
+
+@st.composite
+def _mutated(draw, text):
+    """Blank, comment and padded lines, bad or missing or extra tokens,
+    dropped lines, and CRLF endings."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from((
+            "blank", "comment", "pad", "bad", "drop_token", "extra_token",
+            "drop_line",
+        )))
+        if kind == "blank":
+            lines.insert(at, draw(st.sampled_from(("", "  ", "\t"))))
+        elif kind == "comment":
+            lines.insert(at, draw(st.sampled_from(("# note", "  #a,1", "#"))))
+        elif at == len(lines):
+            continue
+        elif kind == "pad":
+            lines[at] = " " + lines[at] + "\t"
+        elif kind == "drop_line":
+            del lines[at]
+        else:
+            tokens = lines[at].split(",")
+            slot = draw(st.integers(0, len(tokens) - 1))
+            if kind == "bad":
+                tokens[slot] = draw(st.sampled_from(_BAD_TOKENS))
+            elif kind == "drop_token":
+                del tokens[slot]
+            else:
+                tokens.insert(slot, draw(st.sampled_from(("0.5", "a"))))
+            lines[at] = ",".join(tokens)
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + draw(st.sampled_from(("", newline)))
+
+
+_ORACLES = {
+    "frames": (read_frames_csv, oracle_read_frames_csv),
+    "vectors": (read_vectors_csv, oracle_read_vectors_csv),
+    "gram": (read_gram_csv, oracle_read_gram_csv),
+    "scores": (read_scores_csv, oracle_read_scores_csv),
+    "labels": (read_labels_csv, oracle_read_labels_csv),
+}
+
+# (reader, header its input needs, field separator)
+_LINE_READERS = (
+    (read_frames_csv, "", ","),
+    (read_vectors_csv, "", ","),
+    (read_gram_csv, "cols,a,b\n", ","),
+    (read_scores_csv, "", ","),
+    (read_labels_csv, "", ","),
+    (parse_isa_edges, "", " "),
+    (parse_counts, "", " "),
+    (parse_names, "", "\t"),
+    (read_label_map, "# hierkit-labelmap v1 p\n", "\t"),
+    (read_plan, "# hierkit-subsample-plan v1 rule=shuffle-v1 t_s=5 seed=3\n",
+     "\t"),
+)
+
+
+def _line_soup(sep):
+    """Lines of few fields from a small token set: reaches the per-field
+    checks that arbitrary text rarely gets past."""
+    tokens = st.sampled_from(("0", "1", "-1", "3", "x", "", "#UNASSIGNED"))
+    line = st.lists(tokens, max_size=4).map(sep.join)
+    return st.lists(line, max_size=6).map("\n".join)
+
+
+class TestTextReaders:
+    @pytest.mark.parametrize("kind", sorted(_ORACLES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_written_text_matches_oracle(self, kind, data):
+        reader, oracle = _ORACLES[kind]
+        text = data.draw(_csv_text(kind))
+        _same_outcome(reader, oracle, text)
+        _same_outcome(reader, oracle, data.draw(_mutated(text)))
+
+    @pytest.mark.parametrize("kind", sorted(_ORACLES))
+    @settings(max_examples=40, deadline=None)
+    @given(text=st.one_of(st.text(max_size=40), _line_soup(",")))
+    def test_arbitrary_text_matches_oracle(self, kind, text):
+        reader, oracle = _ORACLES[kind]
+        _same_outcome(reader, oracle, text)
+
+    @pytest.mark.parametrize("reader,head,sep", _LINE_READERS,
+                             ids=[r.__name__ for r, _, _ in _LINE_READERS])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_text_parses_or_raises_parse_error(self, reader, head,
+                                                          sep, data):
+        body = data.draw(st.one_of(st.text(max_size=40), _line_soup(sep)))
+        try:
+            reader(head + body)
+        except ParseError:
+            pass

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from hierkit.errors import ContractViolation
 from hierkit.svm import (
     CHI2_BLOCK,
-    KernelConfig,
     SvmModel,
     chi2_distances,
     chi2_kernel,
@@ -75,21 +74,14 @@ class TestChi2Kernel:
             chi2_kernel(np.array([[0.5, -0.5]]), gamma=1.0)
 
     def test_gamma_required(self):
-        with pytest.raises(ContractViolation):
-            chi2_kernel(np.array([[1.0, 0.0]]))
-
-    def test_config_object_supplies_parameters(self):
-        config = KernelConfig(gamma=0.5, epsilon=1e-10)
-        x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(
-            chi2_kernel(x, config=config), chi2_kernel(x, gamma=0.5)
-        )
-
-    def test_config_validation(self):
-        with pytest.raises(ContractViolation):
-            KernelConfig(gamma=0.0)
-        with pytest.raises(ContractViolation):
-            KernelConfig(gamma=1.0, epsilon=0.0)
+        x = np.array([[1.0, 0.0]])
+        with pytest.raises(TypeError):
+            chi2_kernel(x)
+        with pytest.raises(TypeError):  # keyword only
+            chi2_kernel(x, None, 0.5)
+        for gamma in (0.0, -1.0, float("nan")):
+            with pytest.raises(ContractViolation):
+                chi2_kernel(x, gamma=gamma)
 
     def test_bandwidth_heuristic_positive_and_deterministic(self):
         x, _ = toy_set()

@@ -13,7 +13,6 @@ from hierkit.taxonomy import (
     serialize_counts,
     serialize_isa_edges,
     stats,
-    subtree_count,
     subtree_counts,
 )
 
@@ -149,25 +148,25 @@ class TestBuildTaxonomy:
 class TestSubtreeCount:
     def test_leaf(self):
         t = build_taxonomy([("R", "A")], {"A": 5})
-        assert subtree_count(t, "A") == 5
+        assert subtree_counts(t)["A"] == 5
 
     def test_parent_plus_children(self):
         t = build_taxonomy(
             [("P", "L1"), ("P", "L2")], {"P": 2, "L1": 3, "L2": 4}
         )
-        assert subtree_count(t, "P") == 9
+        assert subtree_counts(t)["P"] == 9
 
     def test_root_matches_independent_flat_sum(self):
         for seed in range(25):
             t = random_taxonomy(seed)
             flat = sum(n.direct_count for n in t.nodes.values())
-            assert subtree_count(t, t.root) == flat
             assert subtree_counts(t)[t.root] == flat
 
     def test_unknown_node_rejected(self):
         t = build_taxonomy([("R", "A")], {})
+        assert set(subtree_counts(t)) == set(t.nodes)
         with pytest.raises(ContractViolation):
-            subtree_count(t, "missing")
+            t.node("missing")
 
 
 class TestStats:
