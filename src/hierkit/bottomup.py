@@ -10,13 +10,13 @@ image data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, ParseError
 from .labelmap import LabelMap, from_members
-from .taxonomy import SynsetId, Taxonomy, subtree_counts
+from .taxonomy import SynsetId, Taxonomy, TaxonomyNode, subtree_counts
 
 SELECTION_RULE = "shuffle-v1"
 
@@ -66,7 +66,10 @@ class SubsamplePlan:
 
 def _working_copy(taxonomy: Taxonomy) -> Taxonomy:
     nodes = {
-        node_id: replace(node, children=list(node.children))
+        node_id: TaxonomyNode(
+            node_id, node.direct_count, node.name, list(node.children),
+            node.parent,
+        )
         for node_id, node in taxonomy.nodes.items()
     }
     return Taxonomy(
@@ -203,7 +206,9 @@ def selected_indices(
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([seed, class_id]))
     )
-    return sorted(int(i) for i in rng.permutation(population)[:target])
+    chosen = rng.permutation(population)[:target]
+    chosen.sort()
+    return chosen.tolist()
 
 
 def subsample_plan(

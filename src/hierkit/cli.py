@@ -70,7 +70,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -190,17 +190,19 @@ def _cmd_export_trainlist(ns, prov: str) -> int:
     label_map = read_label_map(_read_text(ns.labelmap))
     plan = read_plan(_read_text(ns.plan)) if ns.plan else None
 
-    class_of = label_map.class_of_synset()
+    class_of = label_map.class_of_synset().get
     per_class: dict[int, list[str]] = {}
     for lineno, raw, fields in _records(_read_text(ns.images), "\t"):
         if len(fields) != 2:
             raise ParseError(
                 f"expected 'image_id<TAB>synset_id', got {raw!r}", line=lineno
             )
-        image_id, synset = fields
-        class_id = class_of.get(synset)
+        class_id = class_of(fields[1])
         if class_id is not None:
-            per_class.setdefault(class_id, []).append(image_id)
+            try:
+                per_class[class_id].append(fields[0])
+            except KeyError:
+                per_class[class_id] = [fields[0]]
 
     targets = (
         {entry.class_id: entry.target_count for entry in plan.entries}
@@ -215,7 +217,8 @@ def _cmd_export_trainlist(ns, prov: str) -> int:
         else:
             target = min(targets.get(class_id, len(images)), len(images))
             keep = selected_indices(plan.seed, class_id, len(images), target)
-        lines.extend(f"{images[i]}\t{class_id}" for i in keep)
+        suffix = f"\t{class_id}"
+        lines.extend([images[i] + suffix for i in keep])
     atomic_write_text(ns.out, "\n".join(lines) + "\n")
     return 0
 

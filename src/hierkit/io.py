@@ -83,7 +83,7 @@ def _records(text: str, sep: str = ","):
     del text
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
+        if line and line[0] != "#":
             yield lineno, raw, line.split(sep)
 
 
@@ -158,7 +158,7 @@ def read_frames_file(path: str, fmt_name: str | None = None) -> np.ndarray:
                 return read_frames_bin(handle.read())
         with open(path, "r", encoding="utf-8") as handle:
             return read_frames_csv(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 

@@ -92,6 +92,8 @@ def read_label_map(text: str) -> LabelMap:
     provenance = lines[0][len(_HEADER_PREFIX):].strip()
     classes: list[LabelClass] = []
     unassigned: list[tuple[SynsetId, int]] = []
+    class_ids: set[int] = set()
+    class_of: dict[SynsetId, int] = {}
     in_unassigned = False
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip("\r\n")
@@ -128,7 +130,19 @@ def read_label_map(text: str) -> LabelMap:
                 raise ParseError(
                     f"non-numeric field in {raw!r}", line=lineno
                 ) from None
+            if class_id < 0:
+                raise ParseError(f"negative class id {class_id}", line=lineno)
+            if class_id in class_ids:
+                raise ParseError(f"duplicate class id {class_id}", line=lineno)
+            class_ids.add(class_id)
             members = tuple(m for m in fields[3].split(",") if m)
+            for member in members:
+                if class_of.setdefault(member, class_id) != class_id:
+                    raise ParseError(
+                        f"synset {member!r} is in classes {class_of[member]} "
+                        f"and {class_id}",
+                        line=lineno,
+                    )
             classes.append(
                 LabelClass(
                     class_id=class_id,

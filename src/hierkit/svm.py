@@ -8,6 +8,7 @@ convex-QP solution of the same dual.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,9 +131,11 @@ def train_kernel_svm(gram, labels, C: float,
 
     Repeatedly picks the maximally violating pair of dual variables and
     solves the two-variable subproblem analytically, stopping when the
-    violation gap falls under ``tol`` (or after ``max_updates`` pair
-    updates). The box constraint 0 <= alpha <= C holds by construction and
-    sum(alpha_i y_i) stays at zero exactly.
+    violation gap falls under ``tol``. A fit that stops with the gap still
+    at or above ``tol`` (``max_updates`` pair updates ran out, or the pair's
+    feasible step vanished) warns with a ``RuntimeWarning``. The box
+    constraint 0 <= alpha <= C holds by construction and sum(alpha_i y_i)
+    stays at zero exactly.
     """
     K = _as_matrix(gram, "gram")
     n = K.shape[0]
@@ -192,12 +195,19 @@ def train_kernel_svm(gram, labels, C: float,
         f0 += (ai - ai_old) * y[i] * K[i] + (aj - aj_old) * y[j] * K[j]
 
     neg_e = y - f0
+    up = up_mask()
+    down = down_mask()
+    gap = float(np.max(neg_e[up]) - np.min(neg_e[down]))
+    if not gap < tol:
+        warnings.warn(
+            f"train_kernel_svm: not converged, KKT gap {gap:.3g} >= tol "
+            f"{tol:g} (max_updates={max_updates})",
+            RuntimeWarning,
+        )
     free = (alpha > 1e-8) & (alpha < C - 1e-8)
     if np.any(free):
         bias = float(np.mean(neg_e[free]))
     else:
-        up = up_mask()
-        down = down_mask()
         bias = float((np.max(neg_e[up]) + np.min(neg_e[down])) / 2.0)
     return SvmModel(alpha=alpha, labels=y, bias=bias, C=C, train_ids=train_ids)
 

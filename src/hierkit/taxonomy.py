@@ -19,7 +19,7 @@ SynsetId = str
 SYNTHETIC_ROOT_ID = "__root__"
 
 
-@dataclass
+@dataclass(slots=True)
 class TaxonomyNode:
     id: SynsetId
     direct_count: int = 0
@@ -170,7 +170,7 @@ def serialize_counts(taxonomy: Taxonomy) -> str:
 
 
 def _find_cycle_edge(
-    start: SynsetId, parents: dict[SynsetId, set[SynsetId]]
+    start: SynsetId, parents: dict[SynsetId, list[SynsetId]]
 ) -> tuple[SynsetId, SynsetId]:
     """Walk parent links from a node known to sit under a cycle.
 
@@ -206,20 +206,14 @@ def build_taxonomy(
         raise ContractViolation("edge list is empty")
     names = names or {}
 
-    parents: dict[SynsetId, set[SynsetId]] = {}
+    parents: dict[SynsetId, list[SynsetId]] = {}
     children: dict[SynsetId, list[SynsetId]] = {}
-    edge_ids: set[SynsetId] = set()
-    seen_edges: set[tuple[SynsetId, SynsetId]] = set()
-    for parent, child in edges:
-        edge_ids.add(parent)
-        edge_ids.add(child)
-        if (parent, child) in seen_edges:
-            continue
-        seen_edges.add((parent, child))
-        parents.setdefault(child, set()).add(parent)
+    for parent, child in dict.fromkeys(map(tuple, edges)):
+        parents.setdefault(child, []).append(parent)
         children.setdefault(parent, []).append(child)
+    edge_ids = children.keys() | parents.keys()
 
-    root_candidates = sorted(v for v in edge_ids if v not in parents)
+    root_candidates = sorted(children.keys() - parents.keys())
     if not root_candidates:
         bad = _find_cycle_edge(min(edge_ids), parents)
         raise StructureError(
@@ -235,21 +229,22 @@ def build_taxonomy(
             )
         children[root] = list(root_candidates)
         for cand in root_candidates:
-            parents[cand] = {root}
+            parents[cand] = [root]
     else:
         root = root_candidates[0]
 
-    # breadth-first depth over the full (pre-canonicalization) edge set
+    # breadth-first depth over the full (pre-canonicalization) edge set;
+    # the order children are visited in does not change any depth
     depth: dict[SynsetId, int] = {root: 0}
     queue = deque([root])
     while queue:
         cur = queue.popleft()
-        for child in sorted(children.get(cur, ())):
+        for child in children.get(cur, ()):
             if child not in depth:
                 depth[child] = depth[cur] + 1
                 queue.append(child)
 
-    unreachable = sorted(edge_ids - set(depth))
+    unreachable = sorted(edge_ids - depth.keys())
     if unreachable:
         bad = _find_cycle_edge(unreachable[0], parents)
         raise StructureError(
@@ -259,38 +254,35 @@ def build_taxonomy(
 
     kept_parent: dict[SynsetId, SynsetId] = {}
     dropped: list[tuple[SynsetId, SynsetId]] = []
-    for child_id, parent_set in parents.items():
-        best = min(parent_set, key=lambda p: (depth[p], p))
+    for child_id, parent_list in parents.items():
+        if len(parent_list) == 1:
+            kept_parent[child_id] = parent_list[0]
+            continue
+        best = min(parent_list, key=lambda p: (depth[p], p))
         kept_parent[child_id] = best
         dropped.extend(
-            (child_id, p) for p in sorted(parent_set) if p != best
+            (child_id, p) for p in sorted(parent_list) if p != best
         )
     dropped.sort()
 
-    all_ids = set(depth)
-    orphans = sorted(set(counts) - all_ids)
+    orphans = sorted(counts.keys() - depth.keys())
     for orphan in orphans:
         kept_parent[orphan] = root
-        all_ids.add(orphan)
+    negative = [synset for synset, count in counts.items() if count < 0]
+    if negative:
+        raise ContractViolation(f"negative image count for {min(negative)!r}")
 
     nodes: dict[SynsetId, TaxonomyNode] = {
         node_id: TaxonomyNode(
-            id=node_id,
-            direct_count=counts.get(node_id, 0),
-            name=names.get(node_id),
-            parent=kept_parent.get(node_id),
+            node_id, counts.get(node_id, 0), names.get(node_id), [],
+            kept_parent.get(node_id),
         )
-        for node_id in all_ids
+        for node_id in sorted(depth.keys() | orphans)
     }
+    # ids arrive in sorted order, so every children list comes out sorted
     for node_id, node in nodes.items():
-        if node.direct_count < 0:
-            raise ContractViolation(
-                f"negative image count for {node_id!r}"
-            )
         if node.parent is not None:
             nodes[node.parent].children.append(node_id)
-    for node in nodes.values():
-        node.children.sort()
 
     return Taxonomy(
         nodes=nodes,

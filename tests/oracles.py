@@ -8,13 +8,14 @@ traversal helpers are reused.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
-from hierkit.errors import ParseError
+from hierkit.errors import ContractViolation, ParseError, StructureError
 from hierkit.labelmap import LabelMap, from_members
-from hierkit.taxonomy import Taxonomy
+from hierkit.taxonomy import SYNTHETIC_ROOT_ID, SynsetId, Taxonomy, TaxonomyNode
 
 
 class SimpleTree:
@@ -276,6 +277,203 @@ def oracle_svm_dual(gram: np.ndarray, labels: np.ndarray, C: float):
         neg_e = y - f0
         bias = float((np.max(neg_e[up]) + np.min(neg_e[down])) / 2.0)
     return alpha, bias
+
+
+# -- taxonomy and train list --------------------------------------------------
+
+def _oracle_find_cycle_edge(
+    start: SynsetId, parents: dict[SynsetId, set[SynsetId]]
+) -> tuple[SynsetId, SynsetId]:
+    """Walk parent links from a node known to sit under a cycle.
+
+    Every step stays inside the root-unreachable region, so the walk must
+    revisit a node; the closing (parent, child) pair names the cycle.
+    """
+    path_index: dict[SynsetId, int] = {}
+    path: list[SynsetId] = []
+    cur = start
+    while cur not in path_index:
+        path_index[cur] = len(path)
+        path.append(cur)
+        cur = min(parents[cur])
+    # the walk stepped from path[-1] to its parent cur, which we had already
+    # visited: (cur, path[-1]) is a parent->child edge on the cycle
+    return cur, path[-1]
+
+
+def oracle_build_taxonomy(
+    edges: list[tuple[SynsetId, SynsetId]],
+    counts: dict[SynsetId, int],
+    names: dict[SynsetId, str] | None = None,
+) -> Taxonomy:
+    """Canonicalize a multi-parent hierarchy into a single-rooted tree.
+
+    The library's original builder, kept verbatim: a seen-edge set, parent
+    sets, a sorted breadth-first walk and a ``min(key=...)`` per node.
+
+    Multi-parent nodes keep the parent with the smallest breadth-first depth
+    (tie: smallest parent id); the other edges land in ``dropped_edges`` as
+    (child, parent) pairs. Several root candidates are gathered under a
+    synthetic zero-count root. Synsets that appear in ``counts`` but in no
+    edge become children of the root and are listed in ``orphans``.
+    """
+    if not edges:
+        raise ContractViolation("edge list is empty")
+    names = names or {}
+
+    parents: dict[SynsetId, set[SynsetId]] = {}
+    children: dict[SynsetId, list[SynsetId]] = {}
+    edge_ids: set[SynsetId] = set()
+    seen_edges: set[tuple[SynsetId, SynsetId]] = set()
+    for parent, child in edges:
+        edge_ids.add(parent)
+        edge_ids.add(child)
+        if (parent, child) in seen_edges:
+            continue
+        seen_edges.add((parent, child))
+        parents.setdefault(child, set()).add(parent)
+        children.setdefault(parent, []).append(child)
+
+    root_candidates = sorted(v for v in edge_ids if v not in parents)
+    if not root_candidates:
+        bad = _oracle_find_cycle_edge(min(edge_ids), parents)
+        raise StructureError(
+            f"hierarchy has no root; cycle through edge {bad[0]} -> {bad[1]}"
+        )
+
+    synthetic = len(root_candidates) > 1
+    if synthetic:
+        root = SYNTHETIC_ROOT_ID
+        if root in edge_ids:
+            raise StructureError(
+                f"reserved id {root!r} already present in the hierarchy"
+            )
+        children[root] = list(root_candidates)
+        for cand in root_candidates:
+            parents[cand] = {root}
+    else:
+        root = root_candidates[0]
+
+    # breadth-first depth over the full (pre-canonicalization) edge set
+    depth: dict[SynsetId, int] = {root: 0}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for child in sorted(children.get(cur, ())):
+            if child not in depth:
+                depth[child] = depth[cur] + 1
+                queue.append(child)
+
+    unreachable = sorted(edge_ids - set(depth))
+    if unreachable:
+        bad = _oracle_find_cycle_edge(unreachable[0], parents)
+        raise StructureError(
+            f"{len(unreachable)} node(s) unreachable from root {root!r}; "
+            f"cycle through edge {bad[0]} -> {bad[1]}"
+        )
+
+    kept_parent: dict[SynsetId, SynsetId] = {}
+    dropped: list[tuple[SynsetId, SynsetId]] = []
+    for child_id, parent_set in parents.items():
+        best = min(parent_set, key=lambda p: (depth[p], p))
+        kept_parent[child_id] = best
+        dropped.extend(
+            (child_id, p) for p in sorted(parent_set) if p != best
+        )
+    dropped.sort()
+
+    all_ids = set(depth)
+    orphans = sorted(set(counts) - all_ids)
+    for orphan in orphans:
+        kept_parent[orphan] = root
+        all_ids.add(orphan)
+
+    nodes: dict[SynsetId, TaxonomyNode] = {
+        node_id: TaxonomyNode(
+            id=node_id,
+            direct_count=counts.get(node_id, 0),
+            name=names.get(node_id),
+            parent=kept_parent.get(node_id),
+        )
+        for node_id in all_ids
+    }
+    for node_id, node in nodes.items():
+        if node.direct_count < 0:
+            raise ContractViolation(
+                f"negative image count for {node_id!r}"
+            )
+        if node.parent is not None:
+            nodes[node.parent].children.append(node_id)
+    for node in nodes.values():
+        node.children.sort()
+
+    return Taxonomy(
+        nodes=nodes,
+        root=root,
+        dropped_edges=dropped,
+        synthetic_root=synthetic,
+        orphans=orphans,
+    )
+
+
+def oracle_selected_indices(
+    seed: int, class_id: int, population: int, target: int
+) -> list[int]:
+    """Deterministic choice of ``target`` image indices out of ``population``.
+
+    The rule (``shuffle-v1``) is a full pseudo-random permutation seeded by
+    (seed, class_id); the first ``target`` slots win and are reported in
+    ascending order. The library's original version, kept verbatim.
+    """
+    if target > population:
+        raise ContractViolation(
+            f"target {target} exceeds population {population}"
+        )
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([seed, class_id]))
+    )
+    return sorted(int(i) for i in rng.permutation(population)[:target])
+
+
+def _oracle_records(text: str, sep: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw, line.split(sep)
+
+
+def oracle_export_trainlist(label_map, plan, images_text: str, prov: str) -> str:
+    """The text ``export-trainlist`` writes; the CLI's original loop, kept
+    verbatim: ``setdefault`` per line, one f-string per output line."""
+    class_of = label_map.class_of_synset()
+    per_class: dict[int, list[str]] = {}
+    for lineno, raw, fields in _oracle_records(images_text, "\t"):
+        if len(fields) != 2:
+            raise ParseError(
+                f"expected 'image_id<TAB>synset_id', got {raw!r}", line=lineno
+            )
+        image_id, synset = fields
+        class_id = class_of.get(synset)
+        if class_id is not None:
+            per_class.setdefault(class_id, []).append(image_id)
+
+    targets = (
+        {entry.class_id: entry.target_count for entry in plan.entries}
+        if plan
+        else None
+    )
+    lines = [f"# {prov}"]
+    for class_id in sorted(per_class):
+        images = per_class[class_id]
+        if targets is None:
+            keep = range(len(images))
+        else:
+            target = min(targets.get(class_id, len(images)), len(images))
+            keep = oracle_selected_indices(
+                plan.seed, class_id, len(images), target
+            )
+        lines.extend(f"{images[i]}\t{class_id}" for i in keep)
+    return "\n".join(lines) + "\n"
 
 
 # -- text readers -------------------------------------------------------------

@@ -27,6 +27,7 @@ from oracles import (
     oracle_bottom_up,
     oracle_promote,
     oracle_roll,
+    oracle_selected_indices,
 )
 
 
@@ -238,6 +239,25 @@ class TestSubsamplePlan:
         assert set(other_seed) != set(first)
         other_class = selected_indices(7, 4, 3072, 2000)
         assert set(other_class) != set(first)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        class_id=st.integers(min_value=0, max_value=2**40),
+        population=st.integers(min_value=0, max_value=300),
+        data=st.data(),
+    )
+    def test_selection_matches_oracle(self, seed, class_id, population, data):
+        target = data.draw(st.integers(min_value=0, max_value=population))
+        chosen = selected_indices(seed, class_id, population, target)
+        assert chosen == oracle_selected_indices(
+            seed, class_id, population, target
+        )
+        assert all(type(i) is int for i in chosen)
+
+    def test_selection_target_over_population_rejected(self):
+        with pytest.raises(ContractViolation, match="exceeds population"):
+            selected_indices(7, 3, 4, 5)
 
     def test_plan_roundtrip(self):
         label_map = self.make_map(3072)

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hierkit import __version__
 from hierkit.cli import main
@@ -15,10 +17,14 @@ from hierkit.io import (
     write_gram_csv,
     write_model,
 )
+from hierkit.bottomup import read_plan
 from hierkit.labelmap import read_label_map
 from hierkit.svm import SvmModel
 
-from oracles import oracle_chi2_distances
+from oracles import oracle_chi2_distances, oracle_export_trainlist
+
+LABELMAP_HEADER = "# hierkit-labelmap v1 p\n"
+PLAN_HEADER = "# hierkit-subsample-plan v1 rule=shuffle-v1 t_s=3 seed=11\n"
 
 
 @pytest.fixture
@@ -252,6 +258,153 @@ class TestTrainList:
             l for l in out.read_text().splitlines() if not l.startswith("#")
         ]
         assert len(lines) == 3
+
+
+class TestTrainListBytes:
+    LABELMAP = (
+        LABELMAP_HEADER
+        + "0\tA\t5\tA\n1\tB\t9\tB,B1,B2\n2\tC\t4\tC\n"
+        + "#UNASSIGNED\nD\t2\n"
+    )
+    # class 2 has no plan line, so it keeps every image
+    PLAN = PLAN_HEADER + "0\t3\t11\n1\t4\t11\n"
+
+    @pytest.mark.parametrize("with_plan", [False, True], ids=["all", "plan"])
+    def test_export_bytes_match_oracle(self, tmp_path, with_plan):
+        labelmap = tmp_path / "lm.tsv"
+        labelmap.write_text(self.LABELMAP)
+        plan = tmp_path / "plan.tsv"
+        plan.write_text(self.PLAN)
+        synsets = ["B", "A", "B2", "C", "B1", "D", "B", "A", "B1"]
+        rows = [f"img{i:02d}\t{synsets[i % 9]}" for i in range(40)]
+        rows[3:3] = ["", "#img99\tA", "   "]
+        rows[10] = "  " + rows[10] + " "
+        images = tmp_path / "images.tsv"
+        images.write_bytes(
+            "".join(row + ("\r\n" if i % 3 else "\n")
+                    for i, row in enumerate(rows)).encode()
+        )
+        out = tmp_path / "train.tsv"
+        argv = ["export-trainlist", "--labelmap", str(labelmap),
+                "--images", str(images), "--out", str(out)]
+        if with_plan:
+            argv[-2:-2] = ["--plan", str(plan)]
+        assert run(*argv) == 0
+        expected = oracle_export_trainlist(
+            read_label_map(self.LABELMAP),
+            read_plan(self.PLAN) if with_plan else None,
+            images.read_text(),
+            f"hierkit {__version__} " + " ".join(argv),
+        )
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("body", [
+        "-1\tA\t3\tA\n",
+        "0\tA\t3\tA\n0\tB\t2\tB\n",
+        "0\tA\t3\tA\n1\tB\t2\tB,A\n",
+    ], ids=["negative_id", "duplicate_id", "shared_member"])
+    @pytest.mark.parametrize("with_plan", [False, True], ids=["all", "plan"])
+    def test_invalid_label_map_is_parse_error(self, tmp_path, capsys, body,
+                                              with_plan):
+        labelmap = tmp_path / "lm.tsv"
+        labelmap.write_text(LABELMAP_HEADER + body)
+        plan = tmp_path / "plan.tsv"
+        plan.write_text(PLAN_HEADER + "-1\t3\t11\n0\t3\t11\n1\t3\t11\n")
+        images = tmp_path / "images.tsv"
+        images.write_text("i1\tA\ni2\tB\n")
+        out = tmp_path / "train.tsv"
+        argv = ["export-trainlist", "--labelmap", str(labelmap),
+                "--images", str(images), "--out", str(out)]
+        if with_plan:
+            argv += ["--plan", str(plan)]
+        assert run(*argv) == 2
+        assert "parse error: line " in capsys.readouterr().err
+        assert not out.exists()
+
+
+_IDS = st.sampled_from(("A", "B", "C", "R", "__root__"))
+_NUMS = st.sampled_from(("0", "1", "2", "7", "-1"))
+_TOKENS = st.one_of(_IDS, _NUMS, st.sampled_from(("", "#", "A,B", "x")))
+
+
+def _fuzz_text(well_formed, sep, fields, header=""):
+    """Well formed: a header and lines of the file's own fields, whose
+    values still make cycles, negative ids, shared members and the like.
+    Otherwise arbitrary text, or lines from a small token set behind an
+    optional header."""
+    if well_formed:
+        return st.lists(st.tuples(*fields).map(sep.join), max_size=8).map(
+            lambda lines: header + "".join(line + "\n" for line in lines)
+        )
+    soup = st.lists(st.lists(_TOKENS, max_size=4).map(sep.join), max_size=8)
+    return st.one_of(
+        st.text(max_size=60),
+        st.tuples(st.sampled_from(("", header)), soup).map(
+            lambda parts: parts[0] + "\n".join(parts[1]) + "\n"
+        ),
+    )
+
+
+def _fuzz_files(well_formed):
+    def text(*args):
+        return _fuzz_text(well_formed, *args)
+    return st.fixed_dictionaries({
+        "is_a": text(" ", [_IDS, _IDS]),
+        "counts": text(" ", [_IDS, _NUMS]),
+        "words": text("\t", [_IDS, st.just("a b")]),
+        "labelmap": text("\t", [
+            _NUMS, _IDS, _NUMS, st.sampled_from(("A", "B,C", "A,B", "")),
+        ], LABELMAP_HEADER),
+        "plan": text("\t", [_NUMS, _NUMS, st.just("11")], PLAN_HEADER),
+        "images": text("\t", [st.sampled_from(("i1", "i2", "i3")), _IDS]),
+    })
+
+
+_TAXONOMY_ARGS = ["--isa", "{d}/is_a", "--counts", "{d}/counts",
+                  "--names", "{d}/words"]
+_FUZZ_COMMANDS = {
+    "validate": ["validate", *_TAXONOMY_ARGS, "--out", "{d}/out"],
+    "stats": ["stats", *_TAXONOMY_ARGS, "--out", "{d}/out"],
+    "reorg-bottomup": ["reorg-bottomup", *_TAXONOMY_ARGS, "--tb", "3",
+                       "--tp", "2", "--ts", "2", "--out", "{d}/out",
+                       "--plan-out", "{d}/out.plan"],
+    "reorg-topdown": ["reorg-topdown", *_TAXONOMY_ARGS, "--tt", "2",
+                      "--budget", "3", "--out", "{d}/out"],
+    "export-trainlist": ["export-trainlist", "--labelmap", "{d}/labelmap",
+                         "--images", "{d}/images", "--out", "{d}/out"],
+    "export-trainlist --plan": ["export-trainlist", "--labelmap",
+                                "{d}/labelmap", "--images", "{d}/images",
+                                "--plan", "{d}/plan", "--out", "{d}/out"],
+}
+_FUZZ_FILES = st.one_of(_fuzz_files(True), _fuzz_files(False))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(_FUZZ_COMMANDS)), files=_FUZZ_FILES)
+    @example(command="export-trainlist --plan", files={
+        "is_a": "", "counts": "", "words": "",
+        "labelmap": LABELMAP_HEADER + "-1\tA\t3\tA\n",
+        "plan": PLAN_HEADER + "-1\t3\t11\n", "images": "i1\tA\n",
+    })
+    def test_taxonomy_commands_exit_with_a_documented_code(
+            self, tmp_path, capsys, command, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = [arg.format(d=tmp_path) for arg in _FUZZ_COMMANDS[command]]
+        assert main(argv) in (0, 1, 2, 3)
+        capsys.readouterr()
+
+    def test_undecodable_input_is_parse_error(self, meta, tmp_path):
+        isa = tmp_path / "is_a.tsv"
+        isa.write_bytes(b"R \xff\n")
+        assert run("validate", "--isa", str(isa),
+                   "--counts", meta["counts"]) == 2
+        frames = tmp_path / "v.csv"
+        frames.write_bytes(b"0.5,\xff\n")
+        assert run("pool", "--frames", str(frames),
+                   "--out", str(tmp_path / "out.csv")) == 2
 
 
 class TestEncodingCommands:

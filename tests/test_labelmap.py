@@ -82,3 +82,21 @@ class TestRoundTrip:
         text = "# hierkit-labelmap v1 p\n0\tn01\tmany\tn01\n#UNASSIGNED\n"
         with pytest.raises(ParseError, match="line 2"):
             read_label_map(text)
+
+
+class TestValidity:
+    @pytest.mark.parametrize("body,message", [
+        ("-1\tA\t3\tA\n", "line 2: negative class id -1"),
+        ("0\tA\t3\tA\n0\tB\t2\tB\n", "line 3: duplicate class id 0"),
+        ("0\tA\t3\tA\n1\tB\t2\tB,A\n",
+         "line 3: synset 'A' is in classes 0 and 1"),
+    ], ids=["negative_id", "duplicate_id", "shared_member"])
+    def test_invalid_map_rejected(self, body, message):
+        text = "# hierkit-labelmap v1 p\n" + body + "#UNASSIGNED\n"
+        with pytest.raises(ParseError) as info:
+            read_label_map(text)
+        assert str(info.value) == message
+
+    def test_member_repeated_within_one_class_accepted(self):
+        text = "# hierkit-labelmap v1 p\n0\tA\t3\tA,A\n#UNASSIGNED\n"
+        assert read_label_map(text).class_of_synset() == {"A": 0}

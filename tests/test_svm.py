@@ -233,6 +233,13 @@ class TestTrainSvm:
         )
         np.testing.assert_array_equal(dup_signs, oracle_signs)
 
+    def test_unconverged_fit_warns(self):
+        x, y = toy_set()
+        gram = chi2_kernel(x, gamma=1.0)
+        with pytest.warns(RuntimeWarning, match="not converged, KKT gap"):
+            model = train_kernel_svm(gram, y, C=100.0, max_updates=1)
+        assert kkt_violation(model, gram) >= 1e-3
+
     def test_one_class_rejected(self):
         with pytest.raises(ContractViolation):
             train_kernel_svm(np.eye(3), np.array([1.0, 1.0, 1.0]), C=1.0)
