@@ -90,6 +90,11 @@ def roll(taxonomy: Taxonomy) -> tuple[Taxonomy, MergeLog]:
     or at least two children. The result has no single-child node.
     """
     out = _working_copy(taxonomy)
+    return out, _roll(out)
+
+
+def _roll(out: Taxonomy) -> MergeLog:
+    """``roll`` in place."""
     nodes = out.nodes
     log: list[MergeRecord] = []
     for node_id in sorted(nodes):
@@ -106,7 +111,7 @@ def roll(taxonomy: Taxonomy) -> tuple[Taxonomy, MergeLog]:
             for grandchild in child.children:
                 nodes[grandchild].parent = parent.id
             del nodes[child.id]
-    return out, log
+    return log
 
 
 def bind(taxonomy: Taxonomy, t_b: int) -> tuple[Taxonomy, MergeLog]:
@@ -120,6 +125,11 @@ def bind(taxonomy: Taxonomy, t_b: int) -> tuple[Taxonomy, MergeLog]:
     if t_b < 0:
         raise ContractViolation(f"t_b must be >= 0, got {t_b}")
     out = _working_copy(taxonomy)
+    return out, _bind(out, t_b)
+
+
+def _bind(out: Taxonomy, t_b: int) -> MergeLog:
+    """``bind`` in place."""
     nodes = out.nodes
     sums = subtree_counts(out)
     log: list[MergeRecord] = []
@@ -150,7 +160,7 @@ def bind(taxonomy: Taxonomy, t_b: int) -> tuple[Taxonomy, MergeLog]:
             head.direct_count += nodes[node_id].direct_count
             del nodes[node_id]
         head.children = []
-    return out, log
+    return log
 
 
 def promote(taxonomy: Taxonomy, t_p: int) -> tuple[Taxonomy, MergeLog]:
@@ -165,6 +175,11 @@ def promote(taxonomy: Taxonomy, t_p: int) -> tuple[Taxonomy, MergeLog]:
     if t_p < 0:
         raise ContractViolation(f"t_p must be >= 0, got {t_p}")
     out = _working_copy(taxonomy)
+    return out, _promote(out, t_p)
+
+
+def _promote(out: Taxonomy, t_p: int) -> MergeLog:
+    """``promote`` in place."""
     nodes = out.nodes
     depths = out.depths()
     order = sorted(
@@ -187,7 +202,7 @@ def promote(taxonomy: Taxonomy, t_p: int) -> tuple[Taxonomy, MergeLog]:
         for child in node.children:
             nodes[child].parent = parent.id
         del nodes[node_id]
-    return out, log
+    return log
 
 
 def selected_indices(
@@ -272,11 +287,14 @@ def build_label_map(
 def bottom_up_pipeline(
     taxonomy: Taxonomy, config: ReorgConfig
 ) -> tuple[LabelMap, SubsamplePlan, MergeLog]:
-    """roll, then bind(t_b), then promote(t_p), then subsample(t_s)."""
-    rolled, log = roll(taxonomy)
-    bound, bind_log = bind(rolled, config.t_b)
-    promoted, promote_log = promote(bound, config.t_p)
-    log = log + bind_log + promote_log
+    """roll, then bind(t_b), then promote(t_p), then subsample(t_s).
+
+    The three tree steps run in place on one copy of ``taxonomy``.
+    """
+    promoted = _working_copy(taxonomy)
+    log = _roll(promoted)
+    log += _bind(promoted, config.t_b)
+    log += _promote(promoted, config.t_p)
 
     members = replay_members(taxonomy, log)
     original_counts = {

@@ -10,6 +10,7 @@ with identical inputs produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -101,6 +102,21 @@ def _frame_ids(paths: list[str]) -> list[str]:
     if len(set(ids)) != len(ids):
         raise ContractViolation("frame file basenames collide")
     return ids
+
+
+def _frame_matrices(ns):
+    """Each ``--frames`` file's matrix, in order; all share one dimension."""
+    dim = None
+    for path in ns.frames:
+        frames = read_frames_file(path, ns.format)
+        if dim is None:
+            dim = frames.shape[1]
+        elif frames.shape[1] != dim:
+            raise ContractViolation(
+                f"{path}: frame dimension {frames.shape[1]} differs from "
+                f"{dim} in {ns.frames[0]}"
+            )
+        yield frames
 
 
 def _apply_preset(ns, keys: dict[str, str]) -> None:
@@ -225,14 +241,14 @@ def _cmd_export_trainlist(ns, prov: str) -> int:
 
 def _cmd_pool(ns, prov: str) -> int:
     ids = _frame_ids(ns.frames)
-    vectors = [average_pool(read_frames_file(path, ns.format)) for path in ns.frames]
+    vectors = [average_pool(frames) for frames in _frame_matrices(ns)]
     atomic_write_text(ns.out, write_vectors_csv(ids, np.vstack(vectors), header=prov))
     return 0
 
 
 def _cmd_vlad(ns, prov: str) -> int:
     ids = _frame_ids(ns.frames)
-    matrices = [read_frames_file(path, ns.format) for path in ns.frames]
+    matrices = list(_frame_matrices(ns))
     if ns.codebook:
         codebook, _ = read_codebook(_read_bytes(ns.codebook))
     else:
@@ -258,8 +274,8 @@ def _cmd_kernel(ns, prov: str) -> int:
                 "in the training gram header"
             )
         y_ids, y_vectors = read_vectors_csv(_read_text(ns.y))
-    if ns.gamma is not None and not ns.gamma > 0:
-        raise ContractViolation(f"gamma must be > 0, got {ns.gamma}")
+    if ns.gamma is not None and not (math.isfinite(ns.gamma) and ns.gamma > 0):
+        raise ContractViolation(f"gamma must be finite and > 0, got {ns.gamma}")
     # one distance pass serves both the bandwidth and the kernel
     dists = chi2_distances(x_vectors, y_vectors, epsilon=ns.epsilon)
     gamma = gamma_from_distances(dists) if ns.gamma is None else ns.gamma

@@ -9,6 +9,7 @@ independent of the degree of parallelism upstream.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,6 +19,9 @@ from .errors import ContractViolation
 
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-6
+# Lloyd's objective never rises; a rise beyond this fraction of it is more
+# than the rounding of a sum of n float64 costs, and is reported.
+KMEANS_RISE_TOL = 1e-9
 # Elements in one row block's difference tensor in _pairwise_sq_dists
 # (512 KiB of float64). Measured on a 2-vCPU Xeon over n x k x d from
 # 400x64x128 to 4800x64x128 and 2000x64x1000: 2**15 and 2**16 were
@@ -40,7 +44,12 @@ class Codebook:
 
 
 def as_frame_matrix(frames) -> np.ndarray:
-    """Validate and convert a frame stack to a float64 (n, d) array."""
+    """Validate and convert a frame stack to a float64 (n, d) array.
+
+    Values must be finite and small enough that squared distances between
+    rows, summed over all rows, stay finite: 4 * n * d * max|x|^2 must not
+    overflow.
+    """
     arr = np.asarray(frames, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ContractViolation(
@@ -48,6 +57,11 @@ def as_frame_matrix(frames) -> np.ndarray:
         )
     if not np.all(np.isfinite(arr)):
         raise ContractViolation("frame matrix contains non-finite values")
+    peak = float(np.abs(arr).max())
+    if 4.0 * arr.size * peak * peak == math.inf:
+        raise ContractViolation(
+            f"frame value {peak!r} overflows squared distances"
+        )
     return arr
 
 
@@ -83,7 +97,9 @@ def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
     seizing the point currently farthest from its own centroid, among the
     points whose cluster keeps another member; so a repair never takes a
     point seized in the same round, and always finds one when n >= k.
-    Deterministic in (vectors, k, seed).
+    The objective (summed squared distances) never rises in Lloyd's
+    algorithm; a rise beyond KMEANS_RISE_TOL of it warns with a
+    RuntimeWarning. Deterministic in (vectors, k, seed).
     """
     data = as_frame_matrix(vectors)
     n = data.shape[0]
@@ -113,7 +129,12 @@ def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
             point_cost[victim] = 0.0
 
         objective = float(point_cost.sum())
-        assert objective <= prev_objective + 1e-9, "k-means objective rose"
+        if objective > prev_objective * (1.0 + KMEANS_RISE_TOL):
+            warnings.warn(
+                f"kmeans_fit: objective rose from {prev_objective!r} to "
+                f"{objective!r}, beyond rounding",
+                RuntimeWarning,
+            )
         prev_objective = objective
 
         new_centroids = np.empty_like(centroids)
@@ -179,6 +200,7 @@ def vlad_encode(frames, codebook: Codebook) -> np.ndarray:
     back as zeros with a warning.
     """
     arr = _canonical_rows(as_frame_matrix(frames))
+    as_frame_matrix(codebook.centroids)  # a codebook file obeys the same bounds
     if arr.shape[1] != codebook.dim:
         raise ContractViolation(
             f"frame dimension {arr.shape[1]} != codebook dimension "

@@ -20,11 +20,13 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from functools import partial
 
 import numpy as np
 
 from .encoding import Codebook
 from .errors import ContractViolation, ParseError
+from .parallel import map_chunks
 from .svm import SvmModel
 
 CODEBOOK_MAGIC = b"HKCB"
@@ -87,6 +89,11 @@ def _records(text: str, sep: str = ","):
             yield lineno, raw, line.split(sep)
 
 
+def _row_text(row: np.ndarray) -> str:
+    """One matrix row as CSV values: ``fmt`` of each, in one pass."""
+    return ",".join(map(repr, row.tolist()))
+
+
 def _float_rows(text: str, id_fields: int,
                 kind: str) -> tuple[list[str], np.ndarray]:
     """Equal-width float rows, each after ``id_fields`` leading ids."""
@@ -120,9 +127,7 @@ def read_frames_csv(text: str) -> np.ndarray:
 
 def write_frames_csv(frames: np.ndarray) -> str:
     arr = np.asarray(frames, dtype=np.float64)
-    return "\n".join(
-        ",".join(fmt(v) for v in row) for row in arr
-    ) + "\n"
+    return "\n".join(map(_row_text, arr)) + "\n"
 
 
 def read_frames_bin(data: bytes) -> np.ndarray:
@@ -164,8 +169,37 @@ def read_frames_file(path: str, fmt_name: str | None = None) -> np.ndarray:
 
 # -- id-tagged vectors ------------------------------------------------------
 
+def _line_edges(text: str, parts: int) -> list[int]:
+    """Offsets cutting ``text`` into ``parts`` spans of whole lines: each
+    inner cut follows a newline near an equal share of the characters."""
+    edges = [0]
+    for part in range(1, parts):
+        cut = text.find("\n", max(edges[-1], len(text) * part // parts)) + 1
+        if not cut:
+            break
+        edges.append(cut)
+    return edges + [len(text)]
+
+
+def _vector_rows(text: str, lo: int, hi: int) -> tuple[list[str], np.ndarray]:
+    return _float_rows(text[lo:hi], 1, "vector")
+
+
 def read_vectors_csv(text: str) -> tuple[list[str], np.ndarray]:
-    ids, vectors = _float_rows(text, 1, "vector")
+    """Ids and vectors of a vector CSV. Large texts are parsed in line
+    chunks on several CPUs (``parallel.map_chunks``); if any chunk fails,
+    or the chunks disagree on the width, the whole text is parsed again in
+    one pass, so an error names the line and message a serial parse does.
+    """
+    try:
+        chunks = map_chunks(partial(_vector_rows, text), len(text),
+                            partial(_line_edges, text))
+    except ParseError:
+        chunks = []
+    if len({rows.shape[1] for _, rows in chunks}) != 1:
+        chunks = [_float_rows(text, 1, "vector")]
+    ids = [item for chunk_ids, _ in chunks for item in chunk_ids]
+    vectors = np.concatenate([rows for _, rows in chunks])
     if len(set(ids)) != len(ids):
         raise ParseError("duplicate item ids in vector file")
     return ids, vectors
@@ -176,8 +210,7 @@ def write_vectors_csv(ids: list[str], vectors: np.ndarray,
     arr = np.asarray(vectors, dtype=np.float64)
     lines = [f"# {header}"] if header else []
     lines.extend(
-        item_id + "," + ",".join(fmt(v) for v in row)
-        for item_id, row in zip(ids, arr)
+        item_id + "," + _row_text(row) for item_id, row in zip(ids, arr)
     )
     return "\n".join(lines) + "\n"
 
@@ -190,8 +223,7 @@ def write_gram_csv(row_ids: list[str], col_ids: list[str],
     lines = [f"# {header}"] if header else []
     lines.append("cols," + ",".join(col_ids))
     lines.extend(
-        row_id + "," + ",".join(fmt(v) for v in row)
-        for row_id, row in zip(row_ids, arr)
+        row_id + "," + _row_text(row) for row_id, row in zip(row_ids, arr)
     )
     return "\n".join(lines) + "\n"
 

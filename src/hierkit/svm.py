@@ -8,12 +8,15 @@ convex-QP solution of the same dual.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ContractViolation
+from .parallel import map_chunks
 
 DEFAULT_EPSILON = 1e-10
 KKT_TOL = 1e-3
@@ -52,9 +55,12 @@ def _as_matrix(x, name: str) -> np.ndarray:
 def chi2_distances(x, y=None, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """Pairwise chi-squared distances sum_m (x_m-y_m)^2 / (x_m+y_m+eps).
 
-    Components must be non-negative (l1-normalized histograms expected).
-    Terms with a zero denominator are treated as zero, so epsilon=0 is
-    usable on inputs without coincident zero bins.
+    Components must be non-negative (l1-normalized histograms expected) and
+    small enough that their squares stay finite, so no sum or square
+    overflows. Terms with a zero denominator are treated as zero, so
+    epsilon=0 is usable on inputs without coincident zero bins. Large
+    inputs are computed in row chunks on several CPUs
+    (``parallel.map_chunks``) with the same bits.
     """
     a = _as_matrix(x, "X")
     b = a if y is None else _as_matrix(y, "Y")
@@ -64,17 +70,51 @@ def chi2_distances(x, y=None, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
         )
     if np.any(a < 0) or np.any(b < 0):
         raise ContractViolation("chi-squared inputs must be non-negative")
+    peak = float(max(a.max(), b.max()))
+    if peak * peak == math.inf:
+        raise ContractViolation(
+            f"chi-squared input {peak!r} overflows when squared"
+        )
     if not epsilon >= 0:
         raise ContractViolation(f"epsilon must be >= 0, got {epsilon}")
     n, m = a.shape[0], b.shape[0]
-    out = np.empty((n, m), dtype=np.float64)
+    symmetric = y is None
+    # columns computed per row: the upper triangle only when symmetric
+    row_cost = np.arange(n, 0, -1) if symmetric else np.full(n, m)
+    blocks = map_chunks(
+        partial(_chi2_rows, a, b, symmetric, epsilon),
+        int(row_cost.sum()) * a.shape[1],
+        partial(_balanced_edges, row_cost),
+    )
+    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if symmetric:
+        # (a-b)^2 and a+b are exact under swapping, so the upper triangle
+        # is mirrored bit for bit
+        for i in range(n - 1):
+            out[i + 1:, i] = out[i, i + 1:]
+    return out
+
+
+def _balanced_edges(cost: np.ndarray, parts: int) -> list[int]:
+    """Row edges cutting rows of the given cost into ``parts`` runs of
+    near-equal total cost."""
+    total = np.cumsum(cost)
+    cuts = np.searchsorted(total, total[-1] * np.arange(1, parts) / parts) + 1
+    return [0, *cuts.tolist(), len(cost)]
+
+
+def _chi2_rows(a: np.ndarray, b: np.ndarray, symmetric: bool,
+               epsilon: float, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the distance matrix; when symmetric, only the
+    columns from the diagonal on are filled."""
+    m = b.shape[0]
+    out = np.empty((hi - lo, m), dtype=np.float64)
     width = min(max(1, CHI2_BLOCK // a.shape[1]), m)
     terms = np.empty((width, a.shape[1]), dtype=np.float64)
     denom = np.empty_like(terms)
-    for i in range(n):
-        # symmetric: (a-b)^2 and a+b are exact under swapping, so the upper
-        # triangle is computed and mirrored bit for bit
-        for j0 in range(i if y is None else 0, m, width):
+    for i in range(lo, hi):
+        row = out[i - lo]
+        for j0 in range(i if symmetric else 0, m, width):
             j1 = min(j0 + width, m)
             t, d = terms[: j1 - j0], denom[: j1 - j0]
             np.subtract(a[i], b[j0:j1], out=t)
@@ -85,17 +125,15 @@ def chi2_distances(x, y=None, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
                 t /= d
             else:  # a zero denominator means a coincident zero bin: term 0
                 np.divide(t, d, out=t, where=d > 0.0)
-            t.sum(axis=1, out=out[i, j0:j1])
-        if y is None:
-            out[i + 1:, i] = out[i, i + 1:]
+            t.sum(axis=1, out=row[j0:j1])
     return out
 
 
 def chi2_kernel(x, y=None, *, gamma: float,
                 epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """K[i][j] = exp(-gamma * chi2(x_i, y_j)); 1.0 exactly on the diagonal."""
-    if not gamma > 0:
-        raise ContractViolation(f"gamma must be > 0, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ContractViolation(f"gamma must be finite and > 0, got {gamma}")
     return np.exp(-gamma * chi2_distances(x, y, epsilon=epsilon))
 
 
@@ -152,8 +190,8 @@ def train_kernel_svm(gram, labels, C: float,
         raise ContractViolation("labels must be -1 or +1")
     if np.all(y == y[0]):
         raise ContractViolation("need at least one item of each label")
-    if not C > 0:
-        raise ContractViolation(f"C must be > 0, got {C}")
+    if not (math.isfinite(C) and C > 0):
+        raise ContractViolation(f"C must be finite and > 0, got {C}")
 
     alpha = np.zeros(n)
     # f0_i = sum_j alpha_j y_j K_ij, the bias-free decision value

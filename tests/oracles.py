@@ -601,3 +601,40 @@ def oracle_read_labels_csv(text: str) -> dict[str, int]:
     if not out:
         raise ParseError("no label rows found")
     return out
+
+
+# The library's original CSV writers, kept verbatim: one ``fmt`` call per
+# numpy scalar.
+
+def _oracle_fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def oracle_write_frames_csv(frames: np.ndarray) -> str:
+    arr = np.asarray(frames, dtype=np.float64)
+    return "\n".join(
+        ",".join(_oracle_fmt(v) for v in row) for row in arr
+    ) + "\n"
+
+
+def oracle_write_vectors_csv(ids: list[str], vectors: np.ndarray,
+                             header: str | None = None) -> str:
+    arr = np.asarray(vectors, dtype=np.float64)
+    lines = [f"# {header}"] if header else []
+    lines.extend(
+        item_id + "," + ",".join(_oracle_fmt(v) for v in row)
+        for item_id, row in zip(ids, arr)
+    )
+    return "\n".join(lines) + "\n"
+
+
+def oracle_write_gram_csv(row_ids: list[str], col_ids: list[str],
+                          values: np.ndarray, header: str | None = None) -> str:
+    arr = np.asarray(values, dtype=np.float64)
+    lines = [f"# {header}"] if header else []
+    lines.append("cols," + ",".join(col_ids))
+    lines.extend(
+        row_id + "," + ",".join(_oracle_fmt(v) for v in row)
+        for row_id, row in zip(row_ids, arr)
+    )
+    return "\n".join(lines) + "\n"

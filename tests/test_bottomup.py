@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierkit import bottomup
 from hierkit.bottomup import (
     ReorgConfig,
     bind,
+    build_label_map,
     bottom_up_pipeline,
     promote,
     replay_members,
@@ -358,6 +360,42 @@ class TestPipeline:
             label_map, _, _ = bottom_up_pipeline(t, config)
             expected = oracle_bottom_up(t, t_b, t_p, label_map.provenance)
             assert write_label_map(label_map) == write_label_map(expected)
+
+    def test_equals_chained_public_steps(self, monkeypatch):
+        """One working copy, in-place steps: the label map, plan and log of
+        roll, then bind, then promote, each on its own copy."""
+        copies = []
+        real_copy = bottomup._working_copy
+
+        def counting_copy(taxonomy):
+            copies.append(None)
+            return real_copy(taxonomy)
+
+        for seed in range(40):
+            t = random_taxonomy(seed, max_nodes=120)
+            before = real_copy(t)
+            t_b, t_p, t_s = random_reorg_params(seed)
+            config = ReorgConfig(t_b=t_b, t_p=t_p, t_s=t_s, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(bottomup, "_working_copy", counting_copy)
+                copies.clear()
+                label_map, plan, log = bottom_up_pipeline(t, config)
+                assert len(copies) == 1
+            assert t == before  # the input tree is untouched
+
+            rolled, roll_log = roll(t)
+            bound, bind_log = bind(rolled, t_b)
+            promoted, promote_log = promote(bound, t_p)
+            chained = roll_log + bind_log + promote_log
+            assert log == chained
+            counts = {i: node.direct_count for i, node in t.nodes.items()}
+            expected = build_label_map(
+                promoted, replay_members(t, chained), counts, t_p,
+                label_map.provenance,
+            )
+            assert write_label_map(label_map) == write_label_map(expected)
+            assert write_plan(plan) == write_plan(
+                subsample_plan(expected, t_s, seed))
 
     def test_absorbed_ids_unique_per_pass(self):
         for seed in range(20):

@@ -1,6 +1,7 @@
 """CLI subcommands: happy paths, exit codes, determinism."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from hierkit import __version__
 from hierkit.cli import main
+from hierkit.encoding import Codebook
 from hierkit.io import (
     fmt,
     read_vectors_csv,
+    write_codebook,
     write_frames_bin,
     write_frames_csv,
     write_gram_csv,
@@ -379,6 +382,83 @@ _FUZZ_COMMANDS = {
 _FUZZ_FILES = st.one_of(_fuzz_files(True), _fuzz_files(False))
 
 
+_NUMBERS = st.sampled_from(("0", "0.5", "1", "2", "-1", "1e308", "1e-320",
+                            "nan", "inf"))
+_EVENT_IDS = st.sampled_from(("a", "b", "c"))
+_EVENT_TOKENS = st.one_of(_NUMBERS, _EVENT_IDS,
+                          st.sampled_from(("cols", "", "x")))
+
+
+def _event_text(header="", ids=True):
+    """Arbitrary text or bytes; lines of comma-joined ids and numbers behind
+    an optional header; or rows of one width, each an id (when ``ids``)
+    and numbers."""
+    soup = st.lists(st.lists(_EVENT_TOKENS, max_size=4).map(",".join),
+                    max_size=6)
+    rows = st.integers(1, 3).flatmap(lambda width: st.lists(
+        st.tuples(_EVENT_IDS if ids else st.just(None),
+                  st.lists(_NUMBERS, min_size=width, max_size=width)).map(
+            lambda row: ",".join(([row[0]] if row[0] else []) + row[1])),
+        min_size=1, max_size=4))
+    return st.one_of(
+        st.text(max_size=60),
+        st.binary(max_size=60),
+        st.tuples(st.sampled_from(("", header)), st.one_of(soup, rows)).map(
+            lambda parts: parts[0] + "\n".join(parts[1]) + "\n"
+        ),
+    )
+
+
+def _small_matrix(rows, cols):
+    return st.lists(st.lists(st.sampled_from((0.0, 0.5, 1.0, 3.0)),
+                             min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(np.array)
+
+
+def _blob(valid):
+    """Arbitrary bytes, or a well-formed container."""
+    return st.one_of(st.binary(max_size=60), valid)
+
+
+_EVENT_FILES = st.fixed_dictionaries({
+    "f1.csv": _event_text(ids=False),
+    "f2.csv": _event_text(ids=False),
+    "f3.bin": _blob(st.integers(1, 3).flatmap(
+        lambda d: _small_matrix(3, d)).map(write_frames_bin)),
+    "codebook": _blob(st.integers(1, 3).flatmap(
+        lambda d: _small_matrix(2, d)).map(
+            lambda c: write_codebook(Codebook(centroids=c, seed=0)))),
+    "x.csv": _event_text(),
+    "y.csv": _event_text(),
+    "gram.csv": _event_text("cols,a,b\n"),
+    "labels.csv": _event_text(),
+    "model": _blob(st.sampled_from((1.0, 0.5)).map(lambda c: write_model(
+        SvmModel(alpha=np.array([c, c]), labels=np.array([1.0, -1.0]),
+                 bias=0.25, C=1.0, train_ids=["a", "b"])))),
+    "s1.csv": _event_text(),
+    "s2.csv": _event_text(),
+})
+
+_EVENT_COMMANDS = {
+    "pool": ["pool", "--frames", "{d}/f1.csv", "{d}/f2.csv", "{d}/f3.bin"],
+    "vlad --k": ["vlad", "--frames", "{d}/f1.csv", "{d}/f2.csv", "--k", "2"],
+    "vlad --codebook": ["vlad", "--frames", "{d}/f1.csv", "{d}/f3.bin",
+                        "--codebook", "{d}/codebook"],
+    "kernel": ["kernel", "--x", "{d}/x.csv"],
+    "kernel --y": ["kernel", "--x", "{d}/x.csv", "--y", "{d}/y.csv",
+                   "--gamma", "0.5"],
+    "train-svm": ["train-svm", "--gram", "{d}/gram.csv",
+                  "--labels", "{d}/labels.csv"],
+    "score": ["score", "--model", "{d}/model", "--gram-rows", "{d}/gram.csv"],
+    "fuse": ["fuse", "--scores", "{d}/s1.csv", "--scores", "{d}/s2.csv"],
+    "eval": ["eval", "--scores", "{d}/s1.csv", "--labels", "{d}/labels.csv"],
+}
+
+# the library's own warnings about degenerate but valid input; any other
+# RuntimeWarning (a numpy overflow, say) still fails the run
+_EXPECTED_WARNINGS = r"(l1_normalize|kmeans_fit|vlad_encode|train_kernel_svm): "
+
+
 class TestFuzz:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -394,6 +474,24 @@ class TestFuzz:
             (tmp_path / name).write_text(text, encoding="utf-8")
         argv = [arg.format(d=tmp_path) for arg in _FUZZ_COMMANDS[command]]
         assert main(argv) in (0, 1, 2, 3)
+        capsys.readouterr()
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(_EVENT_COMMANDS)),
+           files=_EVENT_FILES)
+    def test_event_commands_exit_with_a_documented_code(
+            self, tmp_path, capsys, command, files):
+        for name, content in files.items():
+            if isinstance(content, bytes):
+                (tmp_path / name).write_bytes(content)
+            else:
+                (tmp_path / name).write_text(content, encoding="utf-8")
+        argv = [arg.format(d=tmp_path) for arg in _EVENT_COMMANDS[command]]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=_EXPECTED_WARNINGS,
+                                    category=RuntimeWarning)
+            assert main(argv + ["--out", f"{tmp_path}/out"]) in (0, 1, 2, 3)
         capsys.readouterr()
 
     def test_undecodable_input_is_parse_error(self, meta, tmp_path):
@@ -736,6 +834,61 @@ class TestExitCodes:
         assert code == 3
         assert not model.exists()
 
+
+    @pytest.mark.parametrize("subcommand", ["pool", "vlad"])
+    def test_mixed_frame_dims_is_contract_violation(self, subcommand, videos,
+                                                    tmp_path, capsys):
+        odd = tmp_path / "odd.csv"
+        odd.write_text(write_frames_csv(np.full((4, 5), 0.2)))
+        extra = ["--k", "2"] if subcommand == "vlad" else []
+        out = tmp_path / "out.csv"
+        code = run(subcommand, "--frames", *videos["paths"], str(odd),
+                   *extra, "--out", str(out))
+        assert code == 3
+        assert str(odd) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["pool", "vlad"])
+    def test_overflowing_frames_are_contract_violation(self, subcommand,
+                                                       tmp_path):
+        frames = tmp_path / "huge.csv"
+        frames.write_text("1e308,0\n0,1e308\n")
+        extra = ["--k", "2"] if subcommand == "vlad" else []
+        out = tmp_path / "out.csv"
+        assert run(subcommand, "--frames", str(frames), *extra,
+                   "--out", str(out)) == 3
+        assert not out.exists()
+
+    def test_infinite_c_is_contract_violation(self, videos, tmp_path):
+        pooled = tmp_path / "pooled.csv"
+        run("pool", "--frames", *videos["paths"], "--out", str(pooled))
+        gram = tmp_path / "gram.csv"
+        run("kernel", "--x", str(pooled), "--out", str(gram))
+        model = tmp_path / "model.bin"
+        code = run(
+            "train-svm", "--gram", str(gram), "--labels", videos["labels"],
+            "--c", "inf", "--out", str(model),
+        )
+        assert code == 3
+        assert not model.exists()
+
+    @pytest.mark.parametrize("gamma", ["inf", "nan", "0"])
+    def test_non_finite_or_zero_gamma_is_contract_violation(self, gamma,
+                                                            tmp_path):
+        vectors = tmp_path / "v.csv"
+        vectors.write_text("a,0.5,0.5\nb,0.25,0.75\n")
+        out = tmp_path / "gram.csv"
+        code = run("kernel", "--x", str(vectors), "--gamma", gamma,
+                   "--out", str(out))
+        assert code == 3
+        assert not out.exists()
+
+    def test_overflowing_vectors_are_contract_violation(self, tmp_path):
+        vectors = tmp_path / "huge.csv"
+        vectors.write_text("a,1e308,0.0\nb,0.0,1e308\n")
+        out = tmp_path / "gram.csv"
+        assert run("kernel", "--x", str(vectors), "--out", str(out)) == 3
+        assert not out.exists()
 
     def test_duplicate_gram_ids_is_parse_error(self, videos, tmp_path):
         gram = tmp_path / "dup.csv"

@@ -1,5 +1,8 @@
 """Pooling, codebook training, and VLAD encoding."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -194,6 +197,88 @@ class TestKmeans:
         with pytest.warns(RuntimeWarning, match="not converged after 1"):
             codebook = kmeans_fit(data, k=4, seed=0)
         assert np.all(np.isfinite(codebook.centroids))
+
+    @pytest.mark.parametrize("rise,warns", [(1e-11, False), (1e-6, True)])
+    def test_objective_rise_warns_beyond_rounding(self, monkeypatch, rise,
+                                                   warns):
+        # each Lloyd round's distances are scaled so that its objective is
+        # the last one's times (1 + rise); assignments do not change
+        real = encoding._pairwise_sq_dists
+        reported = []
+
+        def creeping(a, b):
+            dist = real(a, b)
+            if b.shape[0] == 1:  # k-means++ seeding
+                return dist
+            true = float(dist.min(axis=1).sum())
+            reported.append(reported[-1] * (1.0 + rise) if reported else true)
+            return dist * (reported[-1] / true)
+
+        monkeypatch.setattr(encoding, "_pairwise_sq_dists", creeping)
+        # objective ~1e12: a rise of 1e-11 of it is far above an absolute
+        # 1e-9, yet only rounding
+        data = np.random.default_rng(7).random((40, 3)) * 1e6
+        if warns:
+            with pytest.warns(RuntimeWarning, match="objective rose"):
+                kmeans_fit(data, k=3, seed=0)
+        else:
+            kmeans_fit(data, k=3, seed=0)  # a RuntimeWarning fails the test
+        assert len(reported) >= 2
+
+    def test_rising_objective_check_survives_optimize_flag(self):
+        script = (
+            "import warnings, numpy as np\n"
+            "import hierkit.encoding as enc\n"
+            "real, calls = enc._pairwise_sq_dists, []\n"
+            "def rising(a, b):\n"
+            "    calls.append(None)\n"
+            "    return real(a, b) * 10.0 ** len(calls)\n"
+            "enc._pairwise_sq_dists = rising\n"
+            "with warnings.catch_warnings(record=True) as seen:\n"
+            "    warnings.simplefilter('always')\n"
+            "    enc.kmeans_fit(np.random.default_rng(7).random((40, 3)), 3, 0)\n"
+            "print(__debug__, any('objective rose' in str(w.message)"
+            " for w in seen))\n"
+        )
+        src = os.path.dirname(os.path.dirname(encoding.__file__))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+            timeout=60,
+        )
+        assert done.stdout.split() == ["False", "True"]
+
+
+class TestFrameBounds:
+    """Values whose squared distances overflow are a contract violation,
+    not an overflow warning or a NaN further on."""
+
+    HUGE = np.array([[1e308, 0.0], [0.0, 1e308]])
+
+    def test_every_encoder_rejects_overflowing_frames(self):
+        codebook = Codebook(centroids=np.eye(2), seed=0)
+        for call in (lambda: average_pool(self.HUGE),
+                     lambda: kmeans_fit(self.HUGE, 2, 0),
+                     lambda: vlad_encode(self.HUGE, codebook)):
+            with pytest.raises(ContractViolation, match="overflows"):
+                call()
+
+    def test_codebook_centroids_obey_the_same_bound(self):
+        codebook = Codebook(centroids=self.HUGE, seed=0)
+        with pytest.raises(ContractViolation, match="overflows"):
+            vlad_encode(np.eye(2), codebook)
+        codebook = Codebook(centroids=np.array([[np.nan, 0.0]]), seed=0)
+        with pytest.raises(ContractViolation, match="non-finite"):
+            vlad_encode(np.eye(2), codebook)
+
+    def test_bound_scales_with_the_matrix_size(self):
+        # 4 * n * d * peak^2 just below the float64 maximum passes
+        peak = float(np.sqrt(np.finfo(np.float64).max / (4 * 2 * 2))) * 0.999
+        frames = np.array([[peak, 0.0], [0.0, peak]])
+        codebook = kmeans_fit(frames, 2, 0)
+        assert np.all(np.isfinite(codebook.centroids))
+        with pytest.raises(ContractViolation, match="overflows"):
+            kmeans_fit(np.vstack([frames, frames]), 2, 0)
 
 
 class TestVlad:

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hierkit.bottomup import read_plan
@@ -40,6 +40,9 @@ from oracles import (
     oracle_read_labels_csv,
     oracle_read_scores_csv,
     oracle_read_vectors_csv,
+    oracle_write_frames_csv,
+    oracle_write_gram_csv,
+    oracle_write_vectors_csv,
 )
 
 
@@ -484,3 +487,61 @@ class TestTextReaders:
             reader(head + body)
         except ParseError:
             pass
+
+
+class TestShardedVectorReads:
+    """Forced onto several processes, the vector reader returns what the
+    serial reader and the oracle return, or raises the same ParseError."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), workers=st.sampled_from([1, 2, 3]))
+    def test_matches_serial_and_oracle(self, shard_across, data, workers):
+        text = data.draw(_csv_text("vectors"))
+        texts = [text, data.draw(_mutated(text)),
+                 text + data.draw(_mutated(text))]
+        serial = {}
+        for i, body in enumerate(texts):
+            try:
+                serial[i] = read_vectors_csv(body)
+            except ParseError as exc:
+                serial[i] = str(exc)
+        shard_across(workers)
+        for i, body in enumerate(texts):
+            _same_outcome(read_vectors_csv, oracle_read_vectors_csv, body)
+            if isinstance(serial[i], str):
+                with pytest.raises(ParseError) as got:
+                    read_vectors_csv(body)
+                assert str(got.value) == serial[i]
+            else:
+                ids, vectors = read_vectors_csv(body)
+                assert ids == serial[i][0]
+                assert vectors.tobytes() == serial[i][1].tobytes()
+
+    def test_chunk_without_rows_falls_back(self, shard_across):
+        text = "a,1,2\n" + "#" * 300 + "\n" * 40 + "b,3,4\n"
+        shard_across(3)
+        ids, vectors = read_vectors_csv(text)
+        assert ids == ["a", "b"] and vectors.tolist() == [[1, 2], [3, 4]]
+
+
+class TestWritersMatchOracle:
+    """Rows rendered in one pass give the bytes of one ``fmt`` per value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_same_bytes(self, data):
+        n = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(1, 4))
+        matrix = np.array(data.draw(st.lists(
+            st.lists(st.floats(width=64) | st.sampled_from(
+                [-0.0, 5e-324, 1e308, 0.1]), min_size=d, max_size=d),
+            min_size=n, max_size=n)))
+        ids = [f"v{i}" for i in range(n)]
+        cols = [f"c{j}" for j in range(d)]
+        header = data.draw(st.one_of(st.none(), st.just("hierkit test")))
+        assert write_frames_csv(matrix) == oracle_write_frames_csv(matrix)
+        assert (write_vectors_csv(ids, matrix, header=header)
+                == oracle_write_vectors_csv(ids, matrix, header=header))
+        assert (write_gram_csv(ids, cols, matrix, header=header)
+                == oracle_write_gram_csv(ids, cols, matrix, header=header))

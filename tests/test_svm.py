@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hierkit.svm as svm
 from hierkit.errors import ContractViolation
 from hierkit.svm import (
     CHI2_BLOCK,
@@ -79,7 +80,7 @@ class TestChi2Kernel:
             chi2_kernel(x)
         with pytest.raises(TypeError):  # keyword only
             chi2_kernel(x, None, 0.5)
-        for gamma in (0.0, -1.0, float("nan")):
+        for gamma in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ContractViolation):
                 chi2_kernel(x, gamma=gamma)
 
@@ -157,6 +158,63 @@ class TestChi2Distances:
         x, y = pair
         self.check(x, epsilon=epsilon)
         self.check(x, y, epsilon=epsilon)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(1, 9).flatmap(lambda d: st.tuples(
+            arrays(np.float64, st.tuples(st.integers(1, 7), st.just(d)),
+                   elements=st.floats(0.0, 1e100)),
+            arrays(np.float64, st.tuples(st.integers(1, 7), st.just(d)),
+                   elements=st.floats(0.0, 1e100)),
+        )),
+        st.sampled_from([0.0, 1e-10, 0.5]),
+        st.sampled_from([1, 2, 3]),
+    )
+    def test_sharded_rows_match_serial_and_oracle_bytes(
+            self, shard_across, pair, epsilon, workers):
+        """Symmetric and rectangular, epsilon 0, and fewer rows than
+        workers (down to one row)."""
+        x, y = pair
+        serial = [chi2_distances(x, epsilon=epsilon),
+                  chi2_distances(x, y, epsilon=epsilon)]
+        shard_across(workers)
+        sharded = [chi2_distances(x, epsilon=epsilon),
+                   chi2_distances(x, y, epsilon=epsilon)]
+        oracle = [oracle_chi2_distances(x, None, epsilon),
+                  oracle_chi2_distances(x, y, epsilon)]
+        for got, same, expected in zip(sharded, serial, oracle):
+            assert got.tobytes() == same.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [1, 2, 5, 160])
+    def test_triangle_split_balances_upper_triangle(self, n, parts):
+        cost = np.arange(n, 0, -1)
+        edges = svm._balanced_edges(cost, parts)
+        assert edges[0] == 0 and edges[-1] == n
+        assert edges == sorted(edges) and len(edges) == parts + 1
+        shares = [int(cost[lo:hi].sum()) for lo, hi in zip(edges, edges[1:])]
+        assert max(shares) <= cost.sum() / parts + n
+
+    @pytest.mark.parametrize("huge", [
+        np.array([[1e308, 0.0], [0.0, 1e308]]),
+        np.array([[1e155, 1.0]]),
+    ])
+    def test_overflowing_inputs_rejected_before_any_shard(
+            self, monkeypatch, huge):
+        def no_shards(*args):
+            raise AssertionError("sharded before checking inputs")
+
+        monkeypatch.setattr(svm, "map_chunks", no_shards)
+        small = np.full((1, 2), 0.5)
+        for x, y in ((huge, None), (huge, small), (small, huge)):
+            with pytest.raises(ContractViolation, match="overflows"):
+                chi2_distances(x, y)
+
+    def test_largest_squarable_inputs_accepted(self):
+        x = np.array([[1e154, 0.0], [0.0, 1e154], [1e154, 1e154]])
+        dists = chi2_distances(x)
+        assert np.all(np.isfinite(dists)) and dists[0, 1] == 2e154
 
     @pytest.mark.parametrize("n", [2, 3, 17, 37, 58])
     def test_gamma_is_inverse_mean_of_oracle_upper_triangle(self, n):
@@ -239,6 +297,12 @@ class TestTrainSvm:
         with pytest.warns(RuntimeWarning, match="not converged, KKT gap"):
             model = train_kernel_svm(gram, y, C=100.0, max_updates=1)
         assert kkt_violation(model, gram) >= 1e-3
+
+    @pytest.mark.parametrize("C", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_c_must_be_finite_and_positive(self, C):
+        x, y = toy_set()
+        with pytest.raises(ContractViolation, match="finite and > 0"):
+            train_kernel_svm(chi2_kernel(x, gamma=1.0), y, C=C)
 
     def test_one_class_rejected(self):
         with pytest.raises(ContractViolation):
