@@ -25,7 +25,6 @@ from hierkit import (
     kmeans_fit,
     late_fuse,
     mean_average_precision,
-    mean_chi2_gamma,
     stats,
     svm_score,
     train_kernel_svm,
@@ -127,12 +126,12 @@ def event_detection_report(seed: int) -> None:
             ("vlad", lambda f: np.abs(vlad_encode(f, codebook))),
         ):
             train_x = np.vstack([encode(f) for f in train_frames])
-            gamma = mean_chi2_gamma(train_x)
-            gram = chi2_kernel(train_x, gamma=gamma)
+            # gamma = 1 / mean training chi2 distance, from the Gram's own pass
+            gram, gamma = chi2_kernel(train_x)
             model = train_kernel_svm(gram, labels, C=100.0)
 
             test_x = np.vstack([encode(f) for _, f, _ in test])
-            rows = chi2_kernel(test_x, train_x, gamma=gamma)
+            rows, _ = chi2_kernel(test_x, train_x, gamma=gamma)
             decision = svm_score(model, rows)
             scored = ScoredList(
                 scores=[(test[j][0], float(decision[j])) for j in range(len(test))],

@@ -26,7 +26,6 @@ from .svm import (
     SvmModel,
     chi2_kernel,
     kkt_violation,
-    mean_chi2_gamma,
     svm_score,
     train_kernel_svm,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "SvmModel",
     "chi2_kernel",
     "kkt_violation",
-    "mean_chi2_gamma",
     "svm_score",
     "train_kernel_svm",
     "StatsReport",

@@ -10,7 +10,6 @@ with identical inputs produces byte-identical files.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -46,7 +45,7 @@ from .io import (
     write_vectors_csv,
 )
 from .labelmap import read_label_map, write_label_map
-from .svm import chi2_distances, gamma_from_distances, svm_score, train_kernel_svm
+from .svm import chi2_kernel, svm_score, train_kernel_svm
 from .taxonomy import build_taxonomy, parse_counts, parse_isa_edges, parse_names, stats
 from .topdown import TopDownConfig, top_down_pipeline
 
@@ -265,23 +264,18 @@ def _cmd_vlad(ns, prov: str) -> int:
 
 
 def _cmd_kernel(ns, prov: str) -> int:
+    if ns.y and ns.gamma is None:
+        raise UsageError(
+            "--gamma is required with --y; reuse the value recorded "
+            "in the training gram header"
+        )
     x_ids, x_vectors = read_vectors_csv(_read_text(ns.x))
-    y_ids, y_vectors = x_ids, None
-    if ns.y:
-        if ns.gamma is None:
-            raise UsageError(
-                "--gamma is required with --y; reuse the value recorded "
-                "in the training gram header"
-            )
-        y_ids, y_vectors = read_vectors_csv(_read_text(ns.y))
-    if ns.gamma is not None and not (math.isfinite(ns.gamma) and ns.gamma > 0):
-        raise ContractViolation(f"gamma must be finite and > 0, got {ns.gamma}")
-    # one distance pass serves both the bandwidth and the kernel
-    dists = chi2_distances(x_vectors, y_vectors, epsilon=ns.epsilon)
-    gamma = gamma_from_distances(dists) if ns.gamma is None else ns.gamma
+    y_ids, y_vectors = (
+        read_vectors_csv(_read_text(ns.y)) if ns.y else (x_ids, None)
+    )
+    gram, gamma = chi2_kernel(x_vectors, y_vectors, gamma=ns.gamma)
     text = write_gram_csv(
-        x_ids, y_ids, np.exp(-gamma * dists),
-        header=f"{prov} | gamma={fmt(gamma)}",
+        x_ids, y_ids, gram, header=f"{prov} | gamma={fmt(gamma)}"
     )
     atomic_write_text(ns.out, text)
     return 0
@@ -310,6 +304,7 @@ def _cmd_score(ns, prov: str) -> int:
         raise ContractViolation(
             "gram-rows columns do not match the model's training items"
         )
+    # one product per row: a batched rows @ coef may round differently
     scores = [float(svm_score(model, row)[0]) for row in rows]
     atomic_write_text(
         ns.out, write_scores_csv(list(zip(row_ids, scores)), header=prov)
@@ -322,7 +317,7 @@ def _cmd_fuse(ns, prov: str) -> int:
         ScoredList(scores=read_scores_csv(_read_text(path)))
         for path in ns.scores
     ]
-    fused = late_fuse(channels, normalize=not ns.no_normalize)
+    fused = late_fuse(channels)
     atomic_write_text(ns.out, write_scores_csv(fused.scores, header=prov))
     return 0
 
@@ -420,7 +415,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--x", required=True)
         p.add_argument("--y")
         p.add_argument("--gamma", type=float)
-        p.add_argument("--epsilon", type=float, default=1e-10)
         p.add_argument("--out", required=True)
 
     def p_train(p):
@@ -436,7 +430,6 @@ def _build_parser() -> _Parser:
 
     def p_fuse(p):
         p.add_argument("--scores", action="append", required=True)
-        p.add_argument("--no-normalize", dest="no_normalize", action="store_true")
         p.add_argument("--out", required=True)
 
     def p_eval(p):
@@ -484,3 +477,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -3,7 +3,7 @@
 Average precision is the non-interpolated variant over a ranking sorted by
 descending score, with ties broken by ascending item id so results are
 reproducible. Fusion averages per-channel scores after min-max normalizing
-each channel to [0, 1]; normalization can be switched off.
+each channel to [0, 1].
 """
 
 from __future__ import annotations
@@ -77,12 +77,12 @@ def _min_max(values: list[float]) -> list[float]:
     return [(v - lo) / (hi - lo) for v in values]
 
 
-def late_fuse(channels: list[ScoredList], normalize: bool = True) -> ScoredList:
+def late_fuse(channels: list[ScoredList]) -> ScoredList:
     """Average per-item scores across channels over identical item sets.
 
-    Each channel is min-max normalized to [0, 1] first (unless disabled),
-    since raw decision values from different classifiers live on different
-    scales. The fused ordering is recomputed from the averaged scores.
+    Each channel is min-max normalized to [0, 1] first, since raw decision
+    values from different classifiers live on different scales. The fused
+    ordering is recomputed from the averaged scores.
     """
     if not channels:
         raise ContractViolation("nothing to fuse")
@@ -96,9 +96,7 @@ def late_fuse(channels: list[ScoredList], normalize: bool = True) -> ScoredList:
     fused: dict[str, float] = {item_id: 0.0 for item_id in base_ids}
     for channel in channels:
         ids = [i for i, _ in channel.scores]
-        values = [v for _, v in channel.scores]
-        if normalize:
-            values = _min_max(values)
+        values = _min_max([v for _, v in channel.scores])
         for item_id, value in zip(ids, values):
             fused[item_id] += value
     n = len(channels)

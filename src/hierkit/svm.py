@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ContractViolation
 from .parallel import map_chunks
 
-DEFAULT_EPSILON = 1e-10
+# added to every chi-squared denominator, so coincident zero bins give 0
+CHI2_EPSILON = 1e-10
 KKT_TOL = 1e-3
 MAX_PAIR_UPDATES = 100_000
 # Elements per chi-squared scratch buffer (256 KiB of float64): a block
@@ -29,7 +30,8 @@ CHI2_BLOCK = 32768
 
 @dataclass
 class SvmModel:
-    alpha: np.ndarray      # dual coefficients, 0 <= alpha_i <= C
+    alpha: np.ndarray      # dual coefficients, 0 <= alpha_i <= C up to
+                           # rounding (see io.ALPHA_SLACK)
     labels: np.ndarray     # +-1 per training item
     bias: float
     C: float
@@ -52,14 +54,13 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
-def chi2_distances(x, y=None, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Pairwise chi-squared distances sum_m (x_m-y_m)^2 / (x_m+y_m+eps).
+def chi2_distances(x, y=None) -> np.ndarray:
+    """Pairwise chi-squared distances sum_m (x_m-y_m)^2 / (x_m+y_m+eps),
+    eps = ``CHI2_EPSILON``.
 
     Components must be non-negative (l1-normalized histograms expected) and
     small enough that their squares stay finite, so no sum or square
-    overflows. Terms with a zero denominator are treated as zero, so
-    epsilon=0 is usable on inputs without coincident zero bins. Large
-    inputs are computed in row chunks on several CPUs
+    overflows. Large inputs are computed in row chunks on several CPUs
     (``parallel.map_chunks``) with the same bits.
     """
     a = _as_matrix(x, "X")
@@ -75,14 +76,12 @@ def chi2_distances(x, y=None, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
         raise ContractViolation(
             f"chi-squared input {peak!r} overflows when squared"
         )
-    if not epsilon >= 0:
-        raise ContractViolation(f"epsilon must be >= 0, got {epsilon}")
     n, m = a.shape[0], b.shape[0]
     symmetric = y is None
     # columns computed per row: the upper triangle only when symmetric
     row_cost = np.arange(n, 0, -1) if symmetric else np.full(n, m)
     blocks = map_chunks(
-        partial(_chi2_rows, a, b, symmetric, epsilon),
+        partial(_chi2_rows, a, b, symmetric),
         int(row_cost.sum()) * a.shape[1],
         partial(_balanced_edges, row_cost),
     )
@@ -104,7 +103,7 @@ def _balanced_edges(cost: np.ndarray, parts: int) -> list[int]:
 
 
 def _chi2_rows(a: np.ndarray, b: np.ndarray, symmetric: bool,
-               epsilon: float, lo: int, hi: int) -> np.ndarray:
+               lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the distance matrix; when symmetric, only the
     columns from the diagonal on are filled."""
     m = b.shape[0]
@@ -120,45 +119,47 @@ def _chi2_rows(a: np.ndarray, b: np.ndarray, symmetric: bool,
             np.subtract(a[i], b[j0:j1], out=t)
             np.square(t, out=t)
             np.add(a[i], b[j0:j1], out=d)
-            if epsilon > 0:
-                d += epsilon
-                t /= d
-            else:  # a zero denominator means a coincident zero bin: term 0
-                np.divide(t, d, out=t, where=d > 0.0)
+            d += CHI2_EPSILON
+            t /= d
             t.sum(axis=1, out=row[j0:j1])
     return out
 
 
-def chi2_kernel(x, y=None, *, gamma: float,
-                epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """K[i][j] = exp(-gamma * chi2(x_i, y_j)); 1.0 exactly on the diagonal."""
-    if not (math.isfinite(gamma) and gamma > 0):
+def chi2_kernel(x, y=None, *,
+                gamma: float | None = None) -> tuple[np.ndarray, float]:
+    """K[i][j] = exp(-gamma * chi2(x_i, y_j)) and the gamma used; 1.0
+    exactly on a square Gram's diagonal.
+
+    Without ``gamma`` the Gram must be square (no ``y``) and gamma is the
+    bandwidth heuristic 1 / mean chi-squared distance over distinct pairs,
+    taken from the same distance pass; it falls back to 1.0 for one item
+    or coincident vectors. Rows against a training set (``y`` given) must
+    reuse the training Gram's gamma.
+    """
+    if gamma is None:
+        if y is not None:
+            raise ContractViolation(
+                "gamma is required for kernel rows against another set"
+            )
+    elif not (math.isfinite(gamma) and gamma > 0):
         raise ContractViolation(f"gamma must be finite and > 0, got {gamma}")
-    return np.exp(-gamma * chi2_distances(x, y, epsilon=epsilon))
+    dists = chi2_distances(x, y)
+    if gamma is None:
+        n = dists.shape[0]
+        pairs = n * (n - 1) / 2
+        mean = float(np.triu(dists, k=1).sum()) / pairs if n > 1 else 0.0
+        gamma = 1.0 / mean if mean > 0 else 1.0
+    return np.exp(-gamma * dists), gamma
 
 
-def mean_chi2_gamma(x, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Bandwidth heuristic: 1 / mean pairwise chi-squared distance.
-
-    Falls back to 1.0 when all vectors coincide.
-    """
-    a = _as_matrix(x, "X")
-    if a.shape[0] < 2:
-        return 1.0
-    return gamma_from_distances(chi2_distances(a, epsilon=epsilon))
-
-
-def gamma_from_distances(dists: np.ndarray) -> float:
-    """1 / mean of the strict upper triangle of a square distance matrix.
-
-    Falls back to 1.0 for fewer than two items or an all-zero mean.
-    """
-    n = dists.shape[0]
-    if n < 2:
-        return 1.0
-    total = float(np.triu(dists, k=1).sum())
-    mean = total / (n * (n - 1) / 2)
-    return 1.0 / mean if mean > 0 else 1.0
+def _violating_sets(y: np.ndarray, alpha: np.ndarray,
+                    C: float) -> tuple[np.ndarray, np.ndarray]:
+    """The "up" and "down" index masks of the maximal violating pair: items
+    whose alpha_i y_i can still grow, and those whose alpha_i y_i can
+    still shrink."""
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    down = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+    return up, down
 
 
 def train_kernel_svm(gram, labels, C: float,
@@ -172,8 +173,9 @@ def train_kernel_svm(gram, labels, C: float,
     violation gap falls under ``tol``. A fit that stops with the gap still
     at or above ``tol`` (``max_updates`` pair updates ran out, or the pair's
     feasible step vanished) warns with a ``RuntimeWarning``. The box
-    constraint 0 <= alpha <= C holds by construction and sum(alpha_i y_i)
-    stays at zero exactly.
+    constraint 0 <= alpha <= C holds up to rounding: a pair update can
+    overshoot it by about 1e-14, which ``io.ALPHA_SLACK`` tolerates when a
+    model is read back.
     """
     K = _as_matrix(gram, "gram")
     n = K.shape[0]
@@ -197,16 +199,9 @@ def train_kernel_svm(gram, labels, C: float,
     # f0_i = sum_j alpha_j y_j K_ij, the bias-free decision value
     f0 = np.zeros(n)
 
-    def up_mask():
-        return ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-
-    def down_mask():
-        return ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-
     for _ in range(max_updates):
         neg_e = y - f0  # -E0_t = y_t - f0_t
-        up = up_mask()
-        down = down_mask()
+        up, down = _violating_sets(y, alpha, C)
         m_val = np.max(neg_e[up])
         big_m = np.min(neg_e[down])
         if m_val - big_m < tol:
@@ -233,8 +228,7 @@ def train_kernel_svm(gram, labels, C: float,
         f0 += (ai - ai_old) * y[i] * K[i] + (aj - aj_old) * y[j] * K[j]
 
     neg_e = y - f0
-    up = up_mask()
-    down = down_mask()
+    up, down = _violating_sets(y, alpha, C)
     gap = float(np.max(neg_e[up]) - np.min(neg_e[down]))
     if not gap < tol:
         warnings.warn(
@@ -254,11 +248,9 @@ def kkt_violation(model: SvmModel, gram) -> float:
     """Maximal violating-pair gap m - M; at most ``tol`` after training."""
     K = _as_matrix(gram, "gram")
     y = model.labels
-    alpha = model.alpha
     f0 = K @ model.coef
     neg_e = y - f0
-    up = ((y > 0) & (alpha < model.C)) | ((y < 0) & (alpha > 0))
-    down = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < model.C))
+    up, down = _violating_sets(y, model.alpha, model.C)
     return float(np.max(neg_e[up]) - np.min(neg_e[down]))
 
 

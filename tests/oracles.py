@@ -246,6 +246,18 @@ def oracle_chi2_distances(x, y=None, epsilon: float = 1e-10) -> np.ndarray:
     return out
 
 
+def oracle_chi2_gamma(dists: np.ndarray) -> float:
+    """The library's original bandwidth heuristic, kept verbatim: 1 / mean
+    of the strict upper triangle of a square distance matrix, 1.0 for
+    fewer than two items or an all-zero mean."""
+    n = dists.shape[0]
+    if n < 2:
+        return 1.0
+    total = float(np.triu(dists, k=1).sum())
+    mean = total / (n * (n - 1) / 2)
+    return 1.0 / mean if mean > 0 else 1.0
+
+
 def oracle_svm_dual(gram: np.ndarray, labels: np.ndarray, C: float):
     """Generic convex-QP solution of the dual, via scipy's SLSQP."""
     from scipy.optimize import minimize

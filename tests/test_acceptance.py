@@ -186,12 +186,12 @@ def test_criterion_4_encoding_properties():
         )
 
     histograms = rng.dirichlet(np.ones(12), size=25)
-    gram = chi2_kernel(histograms, gamma=0.8)
+    gram, _ = chi2_kernel(histograms, gamma=0.8)
     np.testing.assert_array_equal(np.diag(gram), np.ones(25))
 
     for trial in range(50):
         x = rng.dirichlet(np.ones(6), size=int(rng.integers(2, 20)))
-        g = chi2_kernel(x, gamma=float(rng.uniform(0.05, 4.0)))
+        g, _ = chi2_kernel(x, gamma=float(rng.uniform(0.05, 4.0)))
         assert np.linalg.eigvalsh(g).min() >= -1e-8
     _report("criterion 4 encoding properties")
 
@@ -254,7 +254,7 @@ def test_criterion_6_svm_verification():
     x = np.vstack([pos, neg])
     y = np.array([1.0] * 10 + [-1.0] * 10)
 
-    gram = chi2_kernel(x, gamma=1.0)
+    gram, _ = chi2_kernel(x, gamma=1.0)
     model = train_kernel_svm(gram, y, C=100.0)
 
     scores = svm_score(model, gram)

@@ -1,6 +1,9 @@
 """CLI subcommands: happy paths, exit codes, determinism."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import hierkit
 from hierkit import __version__
 from hierkit.cli import main
 from hierkit.encoding import Codebook
@@ -19,12 +23,17 @@ from hierkit.io import (
     write_frames_csv,
     write_gram_csv,
     write_model,
+    write_scores_csv,
 )
 from hierkit.bottomup import read_plan
 from hierkit.labelmap import read_label_map
-from hierkit.svm import SvmModel
+from hierkit.svm import SvmModel, svm_score
 
-from oracles import oracle_chi2_distances, oracle_export_trainlist
+from oracles import (
+    oracle_chi2_distances,
+    oracle_chi2_gamma,
+    oracle_export_trainlist,
+)
 
 LABELMAP_HEADER = "# hierkit-labelmap v1 p\n"
 PLAN_HEADER = "# hierkit-subsample-plan v1 rule=shuffle-v1 t_s=3 seed=11\n"
@@ -613,8 +622,7 @@ class TestModelCommands:
             y_ids, y = read_vectors_csv(y_path.read_text())
         dists = oracle_chi2_distances(x, y)
         if gamma is None:
-            pairs = len(x_ids) * (len(x_ids) - 1) / 2
-            gamma = 1.0 / (float(np.triu(dists, k=1).sum()) / pairs)
+            gamma = oracle_chi2_gamma(dists)
         prov = f"hierkit {__version__} " + " ".join(argv)
         return write_gram_csv(
             x_ids, y_ids, np.exp(-gamma * dists),
@@ -669,6 +677,35 @@ class TestModelCommands:
         assert "ap.toy=1.0" in text
         assert "map=1.0" in text
 
+    def test_score_is_one_product_per_row(self, tmp_path):
+        """Score bytes are pinned to one ``svm_score`` call per row, on a
+        Gram whose batched ``rows @ coef`` rounds differently."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(20, 60)), int(rng.integers(5, 30))
+            rows = rng.random((m, n))
+            labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            model = SvmModel(alpha=rng.random(n), labels=labels, bias=0.1,
+                             C=1.0, train_ids=[f"t{i}" for i in range(n)])
+            per_row = [float(svm_score(model, row)[0]) for row in rows]
+            if per_row != svm_score(model, rows).tolist():
+                break
+        else:
+            raise AssertionError("batched and per-row products agree on "
+                                 "every Gram tried")
+        model_path = tmp_path / "model.bin"
+        model_path.write_bytes(write_model(model))
+        gram = tmp_path / "rows.csv"
+        row_ids = [f"q{j}" for j in range(m)]
+        gram.write_text(write_gram_csv(row_ids, model.train_ids, rows))
+        out = tmp_path / "scores.csv"
+        argv = ["score", "--model", str(model_path), "--gram-rows", str(gram),
+                "--out", str(out)]
+        assert run(*argv) == 0
+        prov = f"hierkit {__version__} " + " ".join(argv)
+        assert out.read_text() == write_scores_csv(
+            list(zip(row_ids, per_row)), header=prov)
+
     def test_eval_perfect_ranking_to_stdout(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
         labels = tmp_path / "l.csv"
@@ -718,6 +755,22 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1
+
+    def test_python_dash_m_runs_main(self):
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(hierkit.__file__))}
+
+        def module(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "hierkit.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        version = module("--version")
+        assert (version.returncode, version.stdout) == (0, f"{__version__}\n")
+        unknown = module("frobnicate")
+        assert unknown.returncode == 1
+        assert "usage error" in unknown.stderr
 
     @pytest.mark.parametrize("subcommand", ["pool", "vlad", "score"])
     def test_threads_is_usage_error(self, subcommand, videos, tmp_path):

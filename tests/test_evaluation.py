@@ -164,12 +164,12 @@ class TestLateFuse:
         with pytest.raises(ContractViolation):
             late_fuse([first, second])
 
-    def test_raw_averaging_can_be_requested(self):
-        wide = make_scored([("a", 100.0), ("b", -100.0)], {"a"})
-        narrow = make_scored([("a", -1.0), ("b", 1.0)], {"a"})
-        fused_raw = late_fuse([wide, narrow], normalize=False)
-        # without normalization the wide channel dominates
-        assert fused_raw.ranking()[0] == "a"
+    def test_wide_channel_does_not_dominate(self):
+        wide = make_scored([("a", 100.0), ("b", -100.0), ("c", 0.0)], {"a"})
+        narrow = make_scored([("a", -1.0), ("b", 0.5), ("c", 1.0)], {"a"})
+        # raw averages would rank a first; normalized ones give c .75,
+        # a .5, b .375
+        assert late_fuse([wide, narrow]).ranking() == ["c", "a", "b"]
 
     def test_complementary_channels_beat_either_alone(self):
         """Two channels, each informative on a disjoint half of the events."""

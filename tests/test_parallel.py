@@ -114,7 +114,7 @@ def test_kernel_bytes_do_not_depend_on_worker_count(tmp_path, shard_across):
     commands = {
         "gram": ["kernel", "--x", x],
         "rows": ["kernel", "--x", y, "--y", x, "--gamma", "0.3"],
-        "eps0": ["kernel", "--x", x, "--epsilon", "0"],
+        "gram with gamma": ["kernel", "--x", x, "--gamma", "0.3"],
     }
     out = str(tmp_path / "out.csv")
 

@@ -10,16 +10,16 @@ import hierkit.svm as svm
 from hierkit.errors import ContractViolation
 from hierkit.svm import (
     CHI2_BLOCK,
+    CHI2_EPSILON,
     SvmModel,
     chi2_distances,
     chi2_kernel,
     kkt_violation,
-    mean_chi2_gamma,
     svm_score,
     train_kernel_svm,
 )
 
-from oracles import oracle_chi2_distances, oracle_svm_dual
+from oracles import oracle_chi2_distances, oracle_chi2_gamma, oracle_svm_dual
 
 
 def toy_set(seed=0, n_per=10):
@@ -36,29 +36,30 @@ class TestChi2Kernel:
     def test_self_similarity_is_exactly_one(self):
         rng = np.random.default_rng(1)
         x = rng.dirichlet(np.ones(6), size=10)
-        gram = chi2_kernel(x, gamma=0.7)
+        gram, _ = chi2_kernel(x, gamma=0.7)
         np.testing.assert_array_equal(np.diag(gram), np.ones(10))
 
     def test_hand_computed_value(self):
-        gram = chi2_kernel(
+        gram, gamma = chi2_kernel(
             np.array([[1.0, 0.0]]),
             np.array([[0.0, 1.0]]),
             gamma=0.5,
-            epsilon=0.0,
         )
-        np.testing.assert_allclose(gram[0, 0], np.exp(-1.0), rtol=1e-12)
+        assert gamma == 0.5
+        chi2 = 2.0 / (1.0 + CHI2_EPSILON)
+        np.testing.assert_allclose(gram[0, 0], np.exp(-0.5 * chi2), rtol=1e-12)
 
     def test_symmetric_on_same_inputs(self):
         rng = np.random.default_rng(2)
         x = rng.dirichlet(np.ones(5), size=12)
-        gram = chi2_kernel(x, gamma=1.3)
+        gram, _ = chi2_kernel(x, gamma=1.3)
         np.testing.assert_array_equal(gram, gram.T)
 
     def test_positive_semidefinite_on_normalized_inputs(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = rng.dirichlet(np.ones(4), size=rng.integers(2, 15))
-            gram = chi2_kernel(x, gamma=float(rng.uniform(0.1, 3.0)))
+            gram, _ = chi2_kernel(x, gamma=float(rng.uniform(0.1, 3.0)))
             eigenvalues = np.linalg.eigvalsh(gram)
             assert eigenvalues.min() >= -1e-8
 
@@ -66,7 +67,7 @@ class TestChi2Kernel:
         rng = np.random.default_rng(4)
         x = rng.dirichlet(np.ones(5), size=8)
         y = rng.dirichlet(np.ones(5), size=6)
-        gram = chi2_kernel(x, y, gamma=0.9)
+        gram, _ = chi2_kernel(x, y, gamma=0.9)
         assert np.all(gram > 0.0)
         assert np.all(gram <= 1.0)
 
@@ -74,23 +75,47 @@ class TestChi2Kernel:
         with pytest.raises(ContractViolation):
             chi2_kernel(np.array([[0.5, -0.5]]), gamma=1.0)
 
-    def test_gamma_required(self):
+    def test_gamma_required(self, monkeypatch):
+        """Rows against another set need the training gamma; a bad gamma is
+        rejected before any distance is computed."""
+        def no_distances(*args):
+            raise AssertionError("distances computed before checking gamma")
+
+        monkeypatch.setattr(svm, "chi2_distances", no_distances)
         x = np.array([[1.0, 0.0]])
-        with pytest.raises(TypeError):
-            chi2_kernel(x)
+        with pytest.raises(ContractViolation, match="gamma is required"):
+            chi2_kernel(x, x)
         with pytest.raises(TypeError):  # keyword only
             chi2_kernel(x, None, 0.5)
         for gamma in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ContractViolation):
+            with pytest.raises(ContractViolation, match="finite and > 0"):
                 chi2_kernel(x, gamma=gamma)
 
     def test_bandwidth_heuristic_positive_and_deterministic(self):
         x, _ = toy_set()
-        first = mean_chi2_gamma(x)
+        gram, first = chi2_kernel(x)
         assert first > 0
-        assert mean_chi2_gamma(x) == first
-        # identical vectors fall back to 1.0
-        assert mean_chi2_gamma(np.ones((3, 2))) == 1.0
+        assert chi2_kernel(x)[1] == first
+        assert chi2_kernel(x, gamma=first)[0].tobytes() == gram.tobytes()
+        # identical vectors and a single item fall back to 1.0
+        assert chi2_kernel(np.ones((3, 2)))[1] == 1.0
+        assert chi2_kernel(x[:1])[1] == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    def test_matches_old_composition_bit_for_bit(self, n):
+        """Gram and gamma equal oracle distances, the original gamma
+        formula and np.exp, for the square Gram and for rows against it."""
+        x = histograms(n, n, 30, zero_share=0.3)
+        test = histograms(n + 100, 7, 30, zero_share=0.3)
+        dists = oracle_chi2_distances(x)
+        expected_gamma = oracle_chi2_gamma(dists)
+        gram, gamma = chi2_kernel(x)
+        assert gamma == expected_gamma
+        assert gram.tobytes() == np.exp(-expected_gamma * dists).tobytes()
+        rows, same = chi2_kernel(test, x, gamma=gamma)
+        assert same == gamma
+        assert rows.tobytes() == np.exp(
+            -gamma * oracle_chi2_distances(test, x)).tobytes()
 
 
 def histograms(seed, n, d, zero_share=0.0):
@@ -103,9 +128,9 @@ def histograms(seed, n, d, zero_share=0.0):
 class TestChi2Distances:
     """The blocked loop must reproduce the per-row oracle bit for bit."""
 
-    def check(self, x, y=None, epsilon=1e-10):
-        got = chi2_distances(x, y, epsilon=epsilon)
-        assert np.array_equal(got, oracle_chi2_distances(x, y, epsilon))
+    def check(self, x, y=None):
+        got = chi2_distances(x, y)
+        assert np.array_equal(got, oracle_chi2_distances(x, y))
 
     def test_symmetric(self):
         self.check(histograms(0, 40, 30))
@@ -131,18 +156,13 @@ class TestChi2Distances:
         self.check(x, histograms(6, n + 2, d))
         self.check(histograms(7, 3, d), x)
 
-    def test_epsilon_zero_with_coincident_zero_bins(self):
+    def test_coincident_zero_bins_add_nothing(self):
         x = histograms(8, 12, 10, zero_share=0.5)
         x[:, 0] = 0.0  # a bin that is zero everywhere
-        got = chi2_distances(x, epsilon=0.0)
-        assert np.all(np.isfinite(got))
-        self.check(x, epsilon=0.0)
-        self.check(x, histograms(9, 5, 10, zero_share=0.5), epsilon=0.0)
-
-    @pytest.mark.parametrize("epsilon", [-1.0, float("nan")])
-    def test_bad_epsilon_rejected(self, epsilon):
-        with pytest.raises(ContractViolation):
-            chi2_distances(histograms(11, 3, 4), epsilon=epsilon)
+        np.testing.assert_allclose(chi2_distances(x),
+                                   chi2_distances(x[:, 1:]), rtol=1e-14)
+        self.check(x)
+        self.check(x, histograms(9, 5, 10, zero_share=0.5))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -152,12 +172,11 @@ class TestChi2Distances:
             arrays(np.float64, st.tuples(st.integers(1, 12), st.just(d)),
                    elements=st.floats(0.0, 1e100)),
         )),
-        st.sampled_from([0.0, 1e-10, 0.5]),
     )
-    def test_matches_oracle_on_random_matrices(self, pair, epsilon):
+    def test_matches_oracle_on_random_matrices(self, pair):
         x, y = pair
-        self.check(x, epsilon=epsilon)
-        self.check(x, y, epsilon=epsilon)
+        self.check(x)
+        self.check(x, y)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -168,21 +187,17 @@ class TestChi2Distances:
             arrays(np.float64, st.tuples(st.integers(1, 7), st.just(d)),
                    elements=st.floats(0.0, 1e100)),
         )),
-        st.sampled_from([0.0, 1e-10, 0.5]),
         st.sampled_from([1, 2, 3]),
     )
     def test_sharded_rows_match_serial_and_oracle_bytes(
-            self, shard_across, pair, epsilon, workers):
-        """Symmetric and rectangular, epsilon 0, and fewer rows than
-        workers (down to one row)."""
+            self, shard_across, pair, workers):
+        """Symmetric and rectangular, and fewer rows than workers (down to
+        one row)."""
         x, y = pair
-        serial = [chi2_distances(x, epsilon=epsilon),
-                  chi2_distances(x, y, epsilon=epsilon)]
+        serial = [chi2_distances(x), chi2_distances(x, y)]
         shard_across(workers)
-        sharded = [chi2_distances(x, epsilon=epsilon),
-                   chi2_distances(x, y, epsilon=epsilon)]
-        oracle = [oracle_chi2_distances(x, None, epsilon),
-                  oracle_chi2_distances(x, y, epsilon)]
+        sharded = [chi2_distances(x), chi2_distances(x, y)]
+        oracle = [oracle_chi2_distances(x), oracle_chi2_distances(x, y)]
         for got, same, expected in zip(sharded, serial, oracle):
             assert got.tobytes() == same.tobytes() == expected.tobytes()
 
@@ -222,7 +237,7 @@ class TestChi2Distances:
         dists = oracle_chi2_distances(x)
         pairs = n * (n - 1) / 2
         expected = 1.0 / (float(np.triu(dists, k=1).sum()) / pairs)
-        assert mean_chi2_gamma(x) == expected
+        assert chi2_kernel(x)[1] == expected
 
 
 class TestTrainSvm:
@@ -238,7 +253,7 @@ class TestTrainSvm:
 
     def test_separable_toy_set(self):
         x, y = toy_set()
-        gram = chi2_kernel(x, gamma=1.0)
+        gram, _ = chi2_kernel(x, gamma=1.0)
         model = train_kernel_svm(gram, y, C=100.0)
 
         scores = svm_score(model, gram)
@@ -250,7 +265,7 @@ class TestTrainSvm:
 
     def test_matches_qp_oracle_scores(self):
         x, y = toy_set()
-        gram = chi2_kernel(x, gamma=1.0)
+        gram, _ = chi2_kernel(x, gamma=1.0)
         model = train_kernel_svm(gram, y, C=100.0)
 
         alpha_star, bias_star = oracle_svm_dual(gram, y, C=100.0)
@@ -261,7 +276,7 @@ class TestTrainSvm:
 
     def test_free_support_vector_scores_its_label(self):
         x, y = toy_set(seed=5)
-        gram = chi2_kernel(x, gamma=1.0)
+        gram, _ = chi2_kernel(x, gamma=1.0)
         model = train_kernel_svm(gram, y, C=100.0)
         free = (model.alpha > 1e-6) & (model.alpha < 100.0 - 1e-6)
         assert np.any(free)
@@ -272,28 +287,28 @@ class TestTrainSvm:
         x, y = toy_set(seed=7)
         grid = np.array([[i / 10.0, 1.0 - i / 10.0] for i in range(11)])
 
-        gram = chi2_kernel(x, gamma=1.0)
+        gram, _ = chi2_kernel(x, gamma=1.0)
         model = train_kernel_svm(gram, y, C=100.0)
-        base_signs = np.sign(svm_score(model, chi2_kernel(grid, x, gamma=1.0)))
+        base_signs = np.sign(svm_score(model, chi2_kernel(grid, x, gamma=1.0)[0]))
 
         x2 = np.vstack([x, x])
         y2 = np.concatenate([y, y])
-        gram2 = chi2_kernel(x2, gamma=1.0)
+        gram2, _ = chi2_kernel(x2, gamma=1.0)
         model2 = train_kernel_svm(gram2, y2, C=100.0)
         dup_signs = np.sign(
-            svm_score(model2, chi2_kernel(grid, x2, gamma=1.0))
+            svm_score(model2, chi2_kernel(grid, x2, gamma=1.0)[0])
         )
         np.testing.assert_array_equal(dup_signs, base_signs)
 
         alpha_star, bias_star = oracle_svm_dual(gram2, y2, C=100.0)
         oracle_signs = np.sign(
-            chi2_kernel(grid, x2, gamma=1.0) @ (alpha_star * y2) + bias_star
+            chi2_kernel(grid, x2, gamma=1.0)[0] @ (alpha_star * y2) + bias_star
         )
         np.testing.assert_array_equal(dup_signs, oracle_signs)
 
     def test_unconverged_fit_warns(self):
         x, y = toy_set()
-        gram = chi2_kernel(x, gamma=1.0)
+        gram, _ = chi2_kernel(x, gamma=1.0)
         with pytest.warns(RuntimeWarning, match="not converged, KKT gap"):
             model = train_kernel_svm(gram, y, C=100.0, max_updates=1)
         assert kkt_violation(model, gram) >= 1e-3
@@ -302,7 +317,7 @@ class TestTrainSvm:
     def test_c_must_be_finite_and_positive(self, C):
         x, y = toy_set()
         with pytest.raises(ContractViolation, match="finite and > 0"):
-            train_kernel_svm(chi2_kernel(x, gamma=1.0), y, C=C)
+            train_kernel_svm(chi2_kernel(x, gamma=1.0)[0], y, C=C)
 
     def test_one_class_rejected(self):
         with pytest.raises(ContractViolation):
