@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ParseError
+from .io import _records
 from .labelmap import LabelMap, from_members
 from .taxonomy import SynsetId, Taxonomy, TaxonomyNode, subtree_counts
 
@@ -324,7 +325,7 @@ def write_plan(plan: SubsamplePlan) -> str:
 
 
 def read_plan(text: str) -> SubsamplePlan:
-    lines = text.splitlines()
+    lines = text.splitlines()[:1]
     if not lines or not lines[0].startswith("# hierkit-subsample-plan v1"):
         raise ParseError("missing subsample-plan header", line=1)
     header = dict(
@@ -338,13 +339,14 @@ def read_plan(text: str) -> SubsamplePlan:
         rule = header["rule"]
     except (KeyError, ValueError):
         raise ParseError("bad subsample-plan header", line=1) from None
+    if rule != SELECTION_RULE:
+        raise ParseError(f"unknown selection rule {rule!r}", line=1)
+    if t_s < 1:
+        raise ParseError(f"plan t_s must be >= 1, got {t_s}", line=1)
     if not 0 <= seed < 2**64:
         raise ParseError("plan seed must fit in 64 unsigned bits", line=1)
     entries: list[PlanEntry] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
+    for lineno, raw, fields in _records(text, "\t"):
         if len(fields) != 3:
             raise ParseError(
                 f"expected 'class_id<TAB>target<TAB>seed', got {raw!r}",

@@ -27,6 +27,8 @@ from .encoding import average_pool, kmeans_fit, vlad_encode
 from .errors import ContractViolation, HierkitError, ParseError
 from .evaluation import ScoredList, late_fuse, mean_average_precision
 from .io import (
+    _read_bytes,
+    _read_text,
     _records,
     atomic_write_bytes,
     atomic_write_text,
@@ -64,22 +66,6 @@ class UsageError(HierkitError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2)
         raise UsageError(message)
-
-
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-
-
-def _read_bytes(path: str) -> bytes:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def _emit(path: str | None, text: str) -> None:

@@ -11,8 +11,12 @@ Formats handled here:
 * binary containers for codebooks (magic ``HKCB``) and SVM models
   (magic ``HKSV``), each with a format-version byte
 
-Every CSV reader skips blank and ``#`` comment lines. Floats are rendered
-with ``repr`` so output is byte-stable and re-parses to the same double.
+``_records`` is the one line grammar of every text input, here and in
+``taxonomy`` (``is_a``, counts, names), ``labelmap`` and ``bottomup``
+(subsample plan): a line that is blank or starts with ``#`` once stripped
+is skipped, every other line is stripped and split into fields, and line
+numbers count every line. Floats are rendered with ``repr`` so output is
+byte-stable and re-parses to the same double.
 """
 
 from __future__ import annotations
@@ -59,6 +63,22 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def _parse_float(token: str, lineno: int) -> float:
     try:
         return float(token)
@@ -73,10 +93,10 @@ def _floats(tokens: list[str], lineno: int) -> list[float]:
         return [_parse_float(tok, lineno) for tok in tokens]
 
 
-def _records(text: str, sep: str = ","):
+def _records(text: str, sep: str | None = ","):
     """``(lineno, raw, fields)`` for every line that is neither blank nor a
-    ``#`` comment once stripped: the one line grammar of every CSV and of
-    ``images.tsv``.
+    ``#`` comment once stripped: the one line grammar of every text input.
+    ``sep=None`` splits on runs of whitespace.
 
     The text is released before the first record, so a large input is not
     held twice while it is parsed.
@@ -157,14 +177,9 @@ def read_frames_file(path: str, fmt_name: str | None = None) -> np.ndarray:
         fmt_name = "bin" if path.endswith(".bin") else "csv"
     if fmt_name not in ("bin", "csv"):
         raise ContractViolation(f"unknown frame format {fmt_name!r}")
-    try:
-        if fmt_name == "bin":
-            with open(path, "rb") as handle:
-                return read_frames_bin(handle.read())
-        with open(path, "r", encoding="utf-8") as handle:
-            return read_frames_csv(handle.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+    if fmt_name == "bin":
+        return read_frames_bin(_read_bytes(path))
+    return read_frames_csv(_read_text(path))
 
 
 # -- id-tagged vectors ------------------------------------------------------

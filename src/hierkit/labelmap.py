@@ -9,13 +9,18 @@ that were dropped from training. The on-disk format is line oriented:
     ...
     #UNASSIGNED
     <synset>\\t<count>
+
+Records follow ``io._records``: blank and ``#`` lines are skipped and
+whitespace around a record is ignored. The exact line ``#UNASSIGNED``
+starts the unassigned section. Counts and class ids must be >= 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import ContractViolation, ParseError
+from .io import _records
 from .taxonomy import SynsetId
 
 _HEADER_PREFIX = "# hierkit-labelmap v1"
@@ -75,6 +80,8 @@ def from_members(
 def write_label_map(label_map: LabelMap) -> str:
     lines = [f"{_HEADER_PREFIX} {label_map.provenance}".rstrip()]
     for cls in label_map.classes:
+        if not cls.members:  # reading would strip its trailing tab
+            raise ContractViolation(f"class {cls.class_id} has no members")
         lines.append(
             f"{cls.class_id}\t{cls.representative}\t{cls.assigned_count}\t"
             + ",".join(cls.members)
@@ -90,65 +97,65 @@ def read_label_map(text: str) -> LabelMap:
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
         raise ParseError("missing label-map header", line=1)
     provenance = lines[0][len(_HEADER_PREFIX):].strip()
+    try:  # records after this line number are unassigned entries
+        boundary = lines.index("#UNASSIGNED", 1) + 1
+    except ValueError:
+        boundary = len(lines)
+    del lines
     classes: list[LabelClass] = []
     unassigned: list[tuple[SynsetId, int]] = []
     class_ids: set[int] = set()
     class_of: dict[SynsetId, int] = {}
-    in_unassigned = False
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        if line == "#UNASSIGNED":
-            in_unassigned = True
-            continue
-        if line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if in_unassigned:
+    for lineno, raw, fields in _records(text, "\t"):
+        if lineno > boundary:
             if len(fields) != 2:
                 raise ParseError(
                     f"expected 'synset<TAB>count', got {raw!r}", line=lineno
                 )
             try:
-                unassigned.append((fields[0], int(fields[1])))
+                count = int(fields[1])
             except ValueError:
                 raise ParseError(
                     f"non-numeric count {fields[1]!r}", line=lineno
                 ) from None
-        else:
-            if len(fields) != 4:
+            if count < 0:
+                raise ParseError(f"negative count {count}", line=lineno)
+            unassigned.append((fields[0], count))
+            continue
+        if len(fields) != 4:
+            raise ParseError(
+                "expected 'class_id<TAB>representative<TAB>count<TAB>"
+                f"members', got {raw!r}",
+                line=lineno,
+            )
+        try:
+            class_id = int(fields[0])
+            count = int(fields[2])
+        except ValueError:
+            raise ParseError(
+                f"non-numeric field in {raw!r}", line=lineno
+            ) from None
+        if class_id < 0:
+            raise ParseError(f"negative class id {class_id}", line=lineno)
+        if count < 0:
+            raise ParseError(f"negative count {count}", line=lineno)
+        if class_id in class_ids:
+            raise ParseError(f"duplicate class id {class_id}", line=lineno)
+        class_ids.add(class_id)
+        members = tuple(m for m in fields[3].split(",") if m)
+        for member in members:
+            if class_of.setdefault(member, class_id) != class_id:
                 raise ParseError(
-                    "expected 'class_id<TAB>representative<TAB>count<TAB>"
-                    f"members', got {raw!r}",
+                    f"synset {member!r} is in classes {class_of[member]} "
+                    f"and {class_id}",
                     line=lineno,
                 )
-            try:
-                class_id = int(fields[0])
-                count = int(fields[2])
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric field in {raw!r}", line=lineno
-                ) from None
-            if class_id < 0:
-                raise ParseError(f"negative class id {class_id}", line=lineno)
-            if class_id in class_ids:
-                raise ParseError(f"duplicate class id {class_id}", line=lineno)
-            class_ids.add(class_id)
-            members = tuple(m for m in fields[3].split(",") if m)
-            for member in members:
-                if class_of.setdefault(member, class_id) != class_id:
-                    raise ParseError(
-                        f"synset {member!r} is in classes {class_of[member]} "
-                        f"and {class_id}",
-                        line=lineno,
-                    )
-            classes.append(
-                LabelClass(
-                    class_id=class_id,
-                    representative=fields[1],
-                    members=members,
-                    assigned_count=count,
-                )
+        classes.append(
+            LabelClass(
+                class_id=class_id,
+                representative=fields[1],
+                members=members,
+                assigned_count=count,
             )
+        )
     return LabelMap(classes=classes, unassigned=unassigned, provenance=provenance)

@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ContractViolation, ParseError, StructureError
+from .io import _records
 
 SynsetId = str
 
@@ -36,15 +37,6 @@ class Taxonomy:
     # diagnostics from canonicalization, not part of the tree proper
     synthetic_root: bool = False
     orphans: list[SynsetId] = field(default_factory=list)
-
-    def __contains__(self, synset: SynsetId) -> bool:
-        return synset in self.nodes
-
-    def node(self, synset: SynsetId) -> TaxonomyNode:
-        try:
-            return self.nodes[synset]
-        except KeyError:
-            raise ContractViolation(f"unknown synset id: {synset!r}") from None
 
     def total_images(self) -> int:
         return sum(n.direct_count for n in self.nodes.values())
@@ -93,11 +85,7 @@ def parse_isa_edges(text: str) -> tuple[list[tuple[SynsetId, SynsetId]], int]:
     edges: list[tuple[SynsetId, SynsetId]] = []
     seen: set[tuple[SynsetId, SynsetId]] = set()
     duplicates = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, raw, tokens in _records(text, None):
         if len(tokens) != 2:
             raise ParseError(
                 f"expected 'parent_id child_id', got {raw!r}", line=lineno
@@ -114,11 +102,7 @@ def parse_isa_edges(text: str) -> tuple[list[tuple[SynsetId, SynsetId]], int]:
 def parse_counts(text: str) -> dict[SynsetId, int]:
     """Parse ``synset_id count`` lines into a count map."""
     counts: dict[SynsetId, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, raw, tokens in _records(text, None):
         if len(tokens) != 2:
             raise ParseError(
                 f"expected 'synset_id count', got {raw!r}", line=lineno
@@ -139,11 +123,8 @@ def parse_counts(text: str) -> dict[SynsetId, int]:
 def parse_names(text: str) -> dict[SynsetId, str]:
     """Parse ``synset<TAB>name`` lines; names may contain further tabs."""
     names: dict[SynsetId, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        synset, sep, name = line.partition("\t")
+    for lineno, raw, _ in _records(text, "\t"):
+        synset, sep, name = raw.partition("\t")
         if not sep or not synset.strip() or not name.strip():
             raise ParseError(
                 f"expected 'synset<TAB>name', got {raw!r}", line=lineno

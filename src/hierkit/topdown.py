@@ -31,8 +31,6 @@ class TopDownConfig:
 @dataclass
 class SelectionResult:
     selected: list[SynsetId]
-    subtree_count: dict[SynsetId, int]
-    effective_count: dict[SynsetId, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -60,7 +58,7 @@ def top_down_select(
             if sums[node_id] >= config.t_t:
                 selected.append(node_id)
         layer = next_layer
-    return SelectionResult(selected=selected, subtree_count=sums)
+    return SelectionResult(selected=selected)
 
 
 def assign_to_selected(
@@ -131,9 +129,7 @@ def top_down_pipeline(
         )
         return LabelMap(classes=[], unassigned=unassigned,
                         provenance=provenance), result
-    label_map, effective, warnings = assign_to_selected(
+    label_map, _, result.warnings = assign_to_selected(
         taxonomy, result.selected, t_t=config.t_t, provenance=provenance
     )
-    result.effective_count = effective
-    result.warnings = warnings
     return label_map, result

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from hierkit.bottomup import PlanEntry, SubsamplePlan
 from hierkit.errors import ContractViolation, ParseError, StructureError
-from hierkit.labelmap import LabelMap, from_members
+from hierkit.labelmap import LabelClass, LabelMap, from_members
 from hierkit.taxonomy import SYNTHETIC_ROOT_ID, SynsetId, Taxonomy, TaxonomyNode
 
 
@@ -613,6 +614,192 @@ def oracle_read_labels_csv(text: str) -> dict[str, int]:
     if not out:
         raise ParseError("no label rows found")
     return out
+
+
+# The line loops of the taxonomy, label-map and plan readers from before
+# they moved onto ``io._records``. The negative-count, rule and t_s checks
+# the readers gained at that move are added here, so a reader and its
+# oracle differ only in the line grammar: these treat ``#`` lines in the
+# taxonomy files as records, and padding around a label-map or plan record
+# as part of its first and last field.
+
+def oracle_parse_isa_edges(text: str):
+    edges = []
+    seen = set()
+    duplicates = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(
+                f"expected 'parent_id child_id', got {raw!r}", line=lineno
+            )
+        edge = (tokens[0], tokens[1])
+        if edge in seen:
+            duplicates += 1
+            continue
+        seen.add(edge)
+        edges.append(edge)
+    return edges, duplicates
+
+
+def oracle_parse_counts(text: str) -> dict[SynsetId, int]:
+    counts: dict[SynsetId, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(
+                f"expected 'synset_id count', got {raw!r}", line=lineno
+            )
+        synset, count_text = tokens
+        try:
+            count = int(count_text)
+        except ValueError:
+            raise ParseError(
+                f"non-numeric count {count_text!r}", line=lineno
+            ) from None
+        if count < 0:
+            raise ParseError(f"negative count {count}", line=lineno)
+        counts[synset] = count
+    return counts
+
+
+def oracle_parse_names(text: str) -> dict[SynsetId, str]:
+    names: dict[SynsetId, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        synset, sep, name = line.partition("\t")
+        if not sep or not synset.strip() or not name.strip():
+            raise ParseError(
+                f"expected 'synset<TAB>name', got {raw!r}", line=lineno
+            )
+        names[synset.strip()] = name.strip()
+    return names
+
+
+def oracle_read_label_map(text: str) -> LabelMap:
+    prefix = "# hierkit-labelmap v1"
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith(prefix):
+        raise ParseError("missing label-map header", line=1)
+    provenance = lines[0][len(prefix):].strip()
+    classes: list[LabelClass] = []
+    unassigned: list[tuple[SynsetId, int]] = []
+    class_ids: set[int] = set()
+    class_of: dict[SynsetId, int] = {}
+    in_unassigned = False
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        if line == "#UNASSIGNED":
+            in_unassigned = True
+            continue
+        if line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if in_unassigned:
+            if len(fields) != 2:
+                raise ParseError(
+                    f"expected 'synset<TAB>count', got {raw!r}", line=lineno
+                )
+            try:
+                count = int(fields[1])
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric count {fields[1]!r}", line=lineno
+                ) from None
+            if count < 0:
+                raise ParseError(f"negative count {count}", line=lineno)
+            unassigned.append((fields[0], count))
+        else:
+            if len(fields) != 4:
+                raise ParseError(
+                    "expected 'class_id<TAB>representative<TAB>count<TAB>"
+                    f"members', got {raw!r}",
+                    line=lineno,
+                )
+            try:
+                class_id = int(fields[0])
+                count = int(fields[2])
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric field in {raw!r}", line=lineno
+                ) from None
+            if class_id < 0:
+                raise ParseError(f"negative class id {class_id}", line=lineno)
+            if count < 0:
+                raise ParseError(f"negative count {count}", line=lineno)
+            if class_id in class_ids:
+                raise ParseError(f"duplicate class id {class_id}", line=lineno)
+            class_ids.add(class_id)
+            members = tuple(m for m in fields[3].split(",") if m)
+            for member in members:
+                if class_of.setdefault(member, class_id) != class_id:
+                    raise ParseError(
+                        f"synset {member!r} is in classes {class_of[member]} "
+                        f"and {class_id}",
+                        line=lineno,
+                    )
+            classes.append(
+                LabelClass(
+                    class_id=class_id,
+                    representative=fields[1],
+                    members=members,
+                    assigned_count=count,
+                )
+            )
+    return LabelMap(classes=classes, unassigned=unassigned, provenance=provenance)
+
+
+def oracle_read_plan(text: str) -> SubsamplePlan:
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("# hierkit-subsample-plan v1"):
+        raise ParseError("missing subsample-plan header", line=1)
+    header = dict(
+        token.split("=", 1)
+        for token in lines[0].split()
+        if "=" in token
+    )
+    try:
+        t_s = int(header["t_s"])
+        seed = int(header["seed"])
+        rule = header["rule"]
+    except (KeyError, ValueError):
+        raise ParseError("bad subsample-plan header", line=1) from None
+    if rule != "shuffle-v1":
+        raise ParseError(f"unknown selection rule {rule!r}", line=1)
+    if t_s < 1:
+        raise ParseError(f"plan t_s must be >= 1, got {t_s}", line=1)
+    if not 0 <= seed < 2**64:
+        raise ParseError("plan seed must fit in 64 unsigned bits", line=1)
+    entries: list[PlanEntry] = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        fields = raw.split("\t")
+        if len(fields) != 3:
+            raise ParseError(
+                f"expected 'class_id<TAB>target<TAB>seed', got {raw!r}",
+                line=lineno,
+            )
+        try:
+            class_id, target, line_seed = map(int, fields)
+        except ValueError:
+            raise ParseError(f"non-numeric field in {raw!r}", line=lineno) from None
+        if target < 0:
+            raise ParseError(f"negative target {target}", line=lineno)
+        if line_seed != seed:
+            raise ParseError("per-line seed differs from header", line=lineno)
+        entries.append(PlanEntry(class_id=class_id, target_count=target))
+    return SubsamplePlan(entries=entries, t_s=t_s, seed=seed, rule=rule)
 
 
 # The library's original CSV writers, kept verbatim: one ``fmt`` call per

