@@ -4,8 +4,14 @@ The four operations run in that fixed order. Roll collapses single-child
 links, bind folds whole low-image subtrees into their top node, promote moves
 remaining small classes into their parents until every surviving class meets
 the image floor, and subsample caps over-populated classes. The first three
-transform the tree; subsampling is a plan over image indices and never touches
-image data.
+transform the tree and log every merge; subsampling is a plan over image
+indices and never touches image data.
+
+Each merge moves a node's images into its current parent, which is always
+its nearest surviving ancestor in the original tree. So the label map comes
+from the one rule the top-down route uses too (``topdown.assign_to_selected``
+on the original tree): a synset's images go to its nearest selected
+ancestor-or-self, and synsets with none are unassigned.
 """
 
 from __future__ import annotations
@@ -16,8 +22,9 @@ import numpy as np
 
 from .errors import ContractViolation, ParseError
 from .io import _records
-from .labelmap import LabelMap, from_members
+from .labelmap import LabelMap
 from .taxonomy import SynsetId, Taxonomy, TaxonomyNode, subtree_counts
+from .topdown import assign_to_selected
 
 SELECTION_RULE = "shuffle-v1"
 
@@ -243,71 +250,32 @@ def subsample_plan(
     return SubsamplePlan(entries=entries, t_s=t_s, seed=seed)
 
 
-def replay_members(
-    taxonomy: Taxonomy, log: MergeLog
-) -> dict[SynsetId, set[SynsetId]]:
-    """Reconstruct which original synsets each surviving node absorbed."""
-    members: dict[SynsetId, set[SynsetId]] = {
-        node_id: {node_id} for node_id in taxonomy.nodes
-    }
-    for record in log:
-        members[record.survivor] |= members.pop(record.absorbed)
-    return members
-
-
-def build_label_map(
-    reorganized: Taxonomy,
-    members: dict[SynsetId, set[SynsetId]],
-    original_counts: dict[SynsetId, int],
-    t_p: int,
-    provenance: str,
-) -> LabelMap:
-    """Turn a fully reorganized tree into a label map.
-
-    Every surviving non-root node becomes a class. The root becomes one only
-    if it meets the promote floor; otherwise whatever pooled at the root is
-    recorded as unassigned, itemized by originating synset.
-    """
-    root = reorganized.root
-    class_members: dict[SynsetId, set[SynsetId]] = {}
-    assigned: dict[SynsetId, int] = {}
-    unassigned: list[tuple[SynsetId, int]] = []
-    for node_id, node in reorganized.nodes.items():
-        if node_id == root and node.direct_count < t_p:
-            unassigned = [
-                (m, original_counts.get(m, 0))
-                for m in sorted(members[root])
-                if original_counts.get(m, 0) > 0
-            ]
-            continue
-        class_members[node_id] = members[node_id]
-        assigned[node_id] = node.direct_count
-    return from_members(class_members, assigned, unassigned, provenance)
-
-
 def bottom_up_pipeline(
     taxonomy: Taxonomy, config: ReorgConfig
 ) -> tuple[LabelMap, SubsamplePlan, MergeLog]:
     """roll, then bind(t_b), then promote(t_p), then subsample(t_s).
 
-    The three tree steps run in place on one copy of ``taxonomy``.
+    The three tree steps run in place on one copy of ``taxonomy``. The
+    classes are the surviving nodes, the root only if its pooled count is at
+    least t_p; the synsets pooled at a root below the floor are unassigned.
     """
     promoted = _working_copy(taxonomy)
     log = _roll(promoted)
     log += _bind(promoted, config.t_b)
     log += _promote(promoted, config.t_p)
 
-    members = replay_members(taxonomy, log)
-    original_counts = {
-        node_id: node.direct_count for node_id, node in taxonomy.nodes.items()
-    }
+    selected = [
+        node_id
+        for node_id, node in promoted.nodes.items()
+        if node_id != promoted.root or node.direct_count >= config.t_p
+    ]
     provenance = (
         "bottomup order=roll,bind,promote,subsample "
         f"t_b={config.t_b} t_p={config.t_p} t_s={config.t_s} "
         f"seed={config.seed}"
     )
-    label_map = build_label_map(
-        promoted, members, original_counts, config.t_p, provenance
+    label_map, _, _ = assign_to_selected(
+        taxonomy, selected, provenance=provenance
     )
     plan = subsample_plan(label_map, config.t_s, config.seed)
     return label_map, plan, log
@@ -346,6 +314,7 @@ def read_plan(text: str) -> SubsamplePlan:
     if not 0 <= seed < 2**64:
         raise ParseError("plan seed must fit in 64 unsigned bits", line=1)
     entries: list[PlanEntry] = []
+    class_ids: set[int] = set()
     for lineno, raw, fields in _records(text, "\t"):
         if len(fields) != 3:
             raise ParseError(
@@ -356,9 +325,14 @@ def read_plan(text: str) -> SubsamplePlan:
             class_id, target, line_seed = map(int, fields)
         except ValueError:
             raise ParseError(f"non-numeric field in {raw!r}", line=lineno) from None
-        if target < 0:
-            raise ParseError(f"negative target {target}", line=lineno)
+        if not 0 <= target <= t_s:
+            raise ParseError(
+                f"target {target} is outside [0, t_s={t_s}]", line=lineno
+            )
         if line_seed != seed:
             raise ParseError("per-line seed differs from header", line=lineno)
+        if class_id in class_ids:
+            raise ParseError(f"duplicate class id {class_id}", line=lineno)
+        class_ids.add(class_id)
         entries.append(PlanEntry(class_id=class_id, target_count=target))
     return SubsamplePlan(entries=entries, t_s=t_s, seed=seed, rule=rule)

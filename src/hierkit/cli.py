@@ -112,8 +112,6 @@ def _apply_preset(ns, keys: dict[str, str]) -> None:
                 "missing " + ", ".join(missing) + " (or use --preset)"
             )
         return
-    if ns.preset not in PRESETS:
-        raise UsageError(f"unknown preset {ns.preset!r}")
     for attr, value in PRESETS[ns.preset].items():
         if attr in keys and getattr(ns, attr) is None:
             setattr(ns, attr, value)
@@ -190,6 +188,15 @@ def _cmd_reorg_topdown(ns, prov: str) -> int:
 def _cmd_export_trainlist(ns, prov: str) -> int:
     label_map = read_label_map(_read_text(ns.labelmap))
     plan = read_plan(_read_text(ns.plan)) if ns.plan else None
+    targets = None
+    if plan:
+        targets = {entry.class_id: entry.target_count for entry in plan.entries}
+        stray = targets.keys() ^ {cls.class_id for cls in label_map.classes}
+        if stray:
+            raise ContractViolation(
+                f"class {min(stray)} is in only one of the plan and the "
+                "label map"
+            )
 
     class_of = label_map.class_of_synset().get
     per_class: dict[int, list[str]] = {}
@@ -205,18 +212,13 @@ def _cmd_export_trainlist(ns, prov: str) -> int:
             except KeyError:
                 per_class[class_id] = [fields[0]]
 
-    targets = (
-        {entry.class_id: entry.target_count for entry in plan.entries}
-        if plan
-        else None
-    )
     lines = [f"# {prov}"]
     for class_id in sorted(per_class):
         images = per_class[class_id]
         if targets is None:
             keep = range(len(images))
         else:
-            target = min(targets.get(class_id, len(images)), len(images))
+            target = min(targets[class_id], len(images))
             keep = selected_indices(plan.seed, class_id, len(images), target)
         suffix = f"\t{class_id}"
         lines.extend([images[i] + suffix for i in keep])
@@ -232,13 +234,15 @@ def _cmd_pool(ns, prov: str) -> int:
 
 
 def _cmd_vlad(ns, prov: str) -> int:
+    if ns.codebook and (ns.k is not None or ns.save_codebook):
+        raise UsageError("--codebook excludes --k and --save-codebook")
+    if not ns.codebook and ns.k is None:
+        raise UsageError("need --codebook or --k to build one")
     ids = _frame_ids(ns.frames)
     matrices = list(_frame_matrices(ns))
     if ns.codebook:
         codebook, _ = read_codebook(_read_bytes(ns.codebook))
     else:
-        if ns.k is None:
-            raise UsageError("need --codebook or --k to build one")
         codebook = kmeans_fit(np.vstack(matrices), ns.k, ns.seed)
         if ns.save_codebook:
             atomic_write_bytes(

@@ -1,8 +1,11 @@
 """Label maps: merged training classes and their synset membership.
 
-Both reorganization routes produce the same artifact: a list of training
-classes, each backed by a disjoint set of original synsets, plus the images
-that were dropped from training. The on-disk format is line oriented:
+Both reorganization routes produce the same artifact by one rule
+(``topdown.assign_to_selected``): a synset's images go to its nearest
+selected ancestor-or-self, and synsets with none are unassigned. A label
+map is the list of training classes, each backed by a disjoint set of
+original synsets, plus the unassigned images that were dropped from
+training. The on-disk format is line oriented:
 
     # hierkit-labelmap v1 <provenance>
     <class_id>\\t<representative_synset>\\t<assigned_count>\\t<members,...>

@@ -1,10 +1,14 @@
-"""Top-down class selection: breadth-first, image-count ordered, budgeted.
+"""Top-down class selection, and the class assignment both routes share.
 
 Starting below the root, each tree layer is sorted by subtree-inclusive image
 count (ties broken by synset id) and every class holding at least t_t images
-is selected until the class budget is reached. Images are then assigned to
-the nearest selected ancestor-or-self, so a selected class keeps descendant
-images unless a deeper selected class captures them first.
+is selected until the class budget is reached.
+
+``assign_to_selected`` turns any set of selected classes into a label map,
+for this route and for the bottom-up one: a synset's images go to its
+nearest selected ancestor-or-self, and synsets with none are unassigned. A
+selected class thus keeps descendant images unless a deeper selected class
+captures them first.
 """
 
 from __future__ import annotations
@@ -70,12 +74,10 @@ def assign_to_selected(
     """Route every synset's direct images to its nearest selected ancestor.
 
     Synsets with no selected ancestor-or-self contribute to the unassigned
-    pool. Returns the label map, the per-class effective counts, and
-    warnings for classes left short of t_t after assignment (reported,
-    never repaired).
+    pool; an empty selection leaves every image unassigned. Returns the
+    label map, the per-class effective counts, and warnings for classes
+    left short of t_t after assignment (reported, never repaired).
     """
-    if not selected:
-        raise ContractViolation("selected class list is empty")
     selected_set = set(selected)
     for node_id in selected:
         if node_id not in taxonomy.nodes:
@@ -120,15 +122,6 @@ def top_down_pipeline(
     """Selection followed by nearest-ancestor image assignment."""
     result = top_down_select(taxonomy, config)
     provenance = f"topdown t_t={config.t_t} budget={config.budget}"
-    if not result.selected:
-        # nothing eligible: every image stays out of training
-        unassigned = sorted(
-            (node_id, node.direct_count)
-            for node_id, node in taxonomy.nodes.items()
-            if node.direct_count > 0
-        )
-        return LabelMap(classes=[], unassigned=unassigned,
-                        provenance=provenance), result
     label_map, _, result.warnings = assign_to_selected(
         taxonomy, result.selected, t_t=config.t_t, provenance=provenance
     )

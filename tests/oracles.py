@@ -109,26 +109,41 @@ def oracle_promote(tree: SimpleTree, t_p: int) -> None:
         tree.merge(victim, tree.parent[victim])
 
 
+def oracle_replay_members(
+    taxonomy: Taxonomy, log
+) -> dict[str, set[str]]:
+    """Which original synsets each surviving node absorbed, by replaying a
+    merge log."""
+    members = {node_id: {node_id} for node_id in taxonomy.nodes}
+    for record in log:
+        members[record.survivor] |= members.pop(record.absorbed)
+    return members
+
+
 def oracle_label_map(
-    tree: SimpleTree,
+    root: str,
+    pooled: dict[str, int],
+    members: dict[str, set[str]],
     original_counts: dict[str, int],
     t_p: int,
     provenance: str,
 ) -> LabelMap:
+    """Every survivor (keys of ``pooled``) with its absorbed ``members``
+    becomes a class; a root below t_p leaves its members unassigned."""
     unassigned = []
-    members = {}
+    classes = {}
     counts = {}
-    for node_id in tree.ids():
-        if node_id == tree.root and tree.count[node_id] < t_p:
+    for node_id in sorted(pooled):
+        if node_id == root and pooled[node_id] < t_p:
             unassigned = [
                 (m, original_counts[m])
-                for m in sorted(tree.members[node_id])
+                for m in sorted(members[node_id])
                 if original_counts[m] > 0
             ]
             continue
-        members[node_id] = tree.members[node_id]
-        counts[node_id] = tree.count[node_id]
-    return from_members(members, counts, unassigned, provenance)
+        classes[node_id] = members[node_id]
+        counts[node_id] = pooled[node_id]
+    return from_members(classes, counts, unassigned, provenance)
 
 
 def oracle_bottom_up(
@@ -139,7 +154,9 @@ def oracle_bottom_up(
     oracle_roll(tree)
     oracle_bind(tree, t_b)
     oracle_promote(tree, t_p)
-    return oracle_label_map(tree, original, t_p, provenance)
+    return oracle_label_map(
+        tree.root, tree.count, tree.members, original, t_p, provenance
+    )
 
 
 def oracle_top_down_select(
@@ -760,6 +777,8 @@ def oracle_read_label_map(text: str) -> LabelMap:
 
 
 def oracle_read_plan(text: str) -> SubsamplePlan:
+    """The original loop, plus the checks that each target lies in
+    [0, t_s] and each class id appears once (a scan of the entries so far)."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# hierkit-subsample-plan v1"):
         raise ParseError("missing subsample-plan header", line=1)
@@ -794,10 +813,14 @@ def oracle_read_plan(text: str) -> SubsamplePlan:
             class_id, target, line_seed = map(int, fields)
         except ValueError:
             raise ParseError(f"non-numeric field in {raw!r}", line=lineno) from None
-        if target < 0:
-            raise ParseError(f"negative target {target}", line=lineno)
+        if not 0 <= target <= t_s:
+            raise ParseError(
+                f"target {target} is outside [0, t_s={t_s}]", line=lineno
+            )
         if line_seed != seed:
             raise ParseError("per-line seed differs from header", line=lineno)
+        if any(entry.class_id == class_id for entry in entries):
+            raise ParseError(f"duplicate class id {class_id}", line=lineno)
         entries.append(PlanEntry(class_id=class_id, target_count=target))
     return SubsamplePlan(entries=entries, t_s=t_s, seed=seed, rule=rule)
 

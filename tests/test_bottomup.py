@@ -8,10 +8,8 @@ from hierkit import bottomup
 from hierkit.bottomup import (
     ReorgConfig,
     bind,
-    build_label_map,
     bottom_up_pipeline,
     promote,
-    replay_members,
     roll,
     selected_indices,
     subsample_plan,
@@ -26,8 +24,11 @@ from gen import random_reorg_params, random_taxonomy
 from oracles import (
     SimpleTree,
     oracle_bind,
+    oracle_assign,
     oracle_bottom_up,
+    oracle_label_map,
     oracle_promote,
+    oracle_replay_members,
     oracle_roll,
     oracle_selected_indices,
 )
@@ -62,7 +63,7 @@ class TestRoll:
         assert "black_mamba" not in rolled.nodes
         assert "green_mamba" not in rolled.nodes
         assert rolled.nodes["mamba"].direct_count == 60
-        members = replay_members(t, log)
+        members = oracle_replay_members(t, log)
         assert members["mamba"] == {"mamba", "black_mamba", "green_mamba"}
 
     def test_two_children_untouched(self):
@@ -96,7 +97,7 @@ class TestRoll:
             expected = SimpleTree(t)
             oracle_roll(expected)
             assert {v: n.direct_count for v, n in rolled.nodes.items()} == expected.count
-            assert replay_members(t, log) == expected.members
+            assert oracle_replay_members(t, log) == expected.members
 
     def test_conserves_total(self):
         for seed in range(40):
@@ -121,7 +122,7 @@ class TestBind:
         bound, log = bind(t, 1000)
         assert bound.nodes["hammerhead"].direct_count == 220
         assert bound.nodes["hammerhead"].children == []
-        members = replay_members(t, log)
+        members = oracle_replay_members(t, log)
         assert members["hammerhead"] == {
             "hammerhead", "smooth", "smalleye", "shovelhead"
         }
@@ -161,7 +162,7 @@ class TestBind:
             expected = SimpleTree(t)
             oracle_bind(expected, t_b)
             assert {v: n.direct_count for v, n in bound.nodes.items()} == expected.count
-            assert replay_members(t, log) == expected.members
+            assert oracle_replay_members(t, log) == expected.members
 
 
 class TestPromote:
@@ -202,7 +203,7 @@ class TestPromote:
             expected = SimpleTree(t)
             oracle_promote(expected, t_p)
             assert {v: n.direct_count for v, n in promoted.nodes.items()} == expected.count
-            assert replay_members(t, log) == expected.members
+            assert oracle_replay_members(t, log) == expected.members
 
 
 class TestSubsamplePlan:
@@ -361,6 +362,21 @@ class TestPipeline:
             expected = oracle_bottom_up(t, t_b, t_p, label_map.provenance)
             assert write_label_map(label_map) == write_label_map(expected)
 
+    def test_root_alone_below_floor_leaves_everything_unassigned(self):
+        """Every synset promotes into a root that stays under t_p: no class,
+        and the same map as an empty top-down selection."""
+        for seed in range(20):
+            t = random_taxonomy(seed, max_nodes=80)
+            t_p = t.total_images() + 1
+            label_map, plan, _ = bottom_up_pipeline(
+                t, ReorgConfig(t_b=0, t_p=t_p, t_s=5, seed=seed)
+            )
+            assert label_map.classes == [] and plan.entries == []
+            written = write_label_map(label_map)
+            prov = label_map.provenance
+            assert written == write_label_map(oracle_bottom_up(t, 0, t_p, prov))
+            assert written == write_label_map(oracle_assign(t, [], prov))
+
     def test_equals_chained_public_steps(self, monkeypatch):
         """One working copy, in-place steps: the label map, plan and log of
         roll, then bind, then promote, each on its own copy."""
@@ -389,8 +405,10 @@ class TestPipeline:
             chained = roll_log + bind_log + promote_log
             assert log == chained
             counts = {i: node.direct_count for i, node in t.nodes.items()}
-            expected = build_label_map(
-                promoted, replay_members(t, chained), counts, t_p,
+            expected = oracle_label_map(
+                promoted.root,
+                {i: node.direct_count for i, node in promoted.nodes.items()},
+                oracle_replay_members(t, chained), counts, t_p,
                 label_map.provenance,
             )
             assert write_label_map(label_map) == write_label_map(expected)

@@ -148,6 +148,21 @@ class TestReorg:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("subcommand,preset", [
+        ("reorg-bottomup", "bottomup-5k"),
+        ("reorg-bottomup", "topdown-4k"),
+        ("reorg-topdown", "topdown-8k"),
+        ("reorg-topdown", "bottomup-4k"),
+    ])
+    def test_unknown_preset_is_usage_error(self, meta, tmp_path, subcommand,
+                                           preset):
+        out = tmp_path / "lm.tsv"
+        assert run(
+            subcommand, "--isa", meta["isa"], "--counts", meta["counts"],
+            "--preset", preset, "--out", str(out),
+        ) == 1
+        assert not out.exists()
+
     def test_bottomup_preset(self, meta, tmp_path):
         out = tmp_path / "lm.tsv"
         code = run(
@@ -227,10 +242,13 @@ class TestTrainList:
         (r"rule=\S+", "rule=bogus-v9"),
         (r"t_s=\d+", "t_s=-4"),
         (r"t_s=\d+", "t_s=0"),
+        (r"^(0\t\d+\t9\n)", r"\1\1"),          # class id listed twice
+        (r"^0\t\d+\t", "0\t4\t"),               # target above t_s=3
     ], ids=["seed_field_x", "negative_target", "negative_header_seed",
-            "unknown_rule", "negative_t_s", "zero_t_s"])
-    def test_malformed_plan_is_parse_error(self, meta, tmp_path, pattern,
-                                           repl):
+            "unknown_rule", "negative_t_s", "zero_t_s", "duplicate_class",
+            "target_above_t_s"])
+    def test_malformed_plan_is_parse_error(self, meta, tmp_path, capsys,
+                                           pattern, repl):
         labelmap_path = tmp_path / "lm.tsv"
         plan_path = tmp_path / "plan.tsv"
         assert run(
@@ -251,6 +269,30 @@ class TestTrainList:
             "--out", str(out),
         )
         assert code == 2
+        assert "parse error: line " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n0\t3\t11\n", "\n"),
+        lambda text: text + "9\t3\t11\n",
+    ], ids=["class_missing", "unknown_class"])
+    def test_plan_classes_differ_from_label_map(self, tmp_path, capsys,
+                                                edit):
+        labelmap = tmp_path / "lm.tsv"
+        labelmap.write_text(LABELMAP_HEADER + "0\tA\t5\tA\n1\tB\t5\tB\n")
+        plan = tmp_path / "plan.tsv"
+        text = PLAN_HEADER + "0\t3\t11\n1\t3\t11\n"
+        assert edit(text) != text
+        plan.write_text(edit(text))
+        images = tmp_path / "images.tsv"
+        images.write_text("".join(f"i{i}\t{s}\n" for s in "AB"
+                                  for i in range(5)))
+        out = tmp_path / "train.tsv"
+        assert run(
+            "export-trainlist", "--labelmap", str(labelmap),
+            "--images", str(images), "--plan", str(plan), "--out", str(out),
+        ) == 3
+        assert "contract violation: class " in capsys.readouterr().err
         assert not out.exists()
 
     def test_images_skip_blank_and_comment_lines(self, meta, tmp_path,
@@ -300,8 +342,9 @@ class TestTrainListBytes:
         + "0\tA\t5\tA\n1\tB\t9\tB,B1,B2\n2\tC\t4\tC\n"
         + "#UNASSIGNED\nD\t2\n"
     )
-    # class 2 has no plan line, so it keeps every image
-    PLAN = PLAN_HEADER + "0\t3\t11\n1\t4\t11\n"
+    # targets under and at t_s; C's target reaches past its images
+    PLAN = (PLAN_HEADER.replace("t_s=3", "t_s=6")
+            + "0\t3\t11\n1\t4\t11\n2\t6\t11\n")
 
     @pytest.mark.parametrize("with_plan", [False, True], ids=["all", "plan"])
     def test_export_bytes_match_oracle(self, tmp_path, with_plan):
@@ -598,6 +641,21 @@ class TestEncodingCommands:
         assert out.read_text().splitlines()[1] == "same," + ",".join(
             ["0.0"] * 9
         )
+
+    @pytest.mark.parametrize("flag", ["--k", "--save-codebook"])
+    def test_vlad_codebook_excludes_fit_flags(self, videos, tmp_path, flag):
+        codebook = tmp_path / "codebook.hkcb"
+        assert run(
+            "vlad", "--frames", *videos["paths"], "--k", "4",
+            "--save-codebook", str(codebook), "--out", str(tmp_path / "a.csv"),
+        ) == 0
+        again = tmp_path / "again.hkcb"
+        out = tmp_path / "b.csv"
+        assert run(
+            "vlad", "--frames", *videos["paths"], "--codebook", str(codebook),
+            flag, "4" if flag == "--k" else str(again), "--out", str(out),
+        ) == 1
+        assert not out.exists() and not again.exists()
 
     def test_vlad_needs_codebook_or_k(self, videos, tmp_path):
         code = run(

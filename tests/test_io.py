@@ -402,10 +402,11 @@ def _written_text(draw, kind):
             draw(st.sampled_from(("", "topdown t_t=1 budget=2"))),
         ))
     if kind == "plan":
-        targets = draw(st.lists(st.integers(0, 9), max_size=4))
+        t_s = draw(st.integers(1, 9))
+        targets = draw(st.lists(st.integers(0, t_s), max_size=4))
         return write_plan(SubsamplePlan(
             [PlanEntry(class_id, t) for class_id, t in enumerate(targets)],
-            t_s=draw(st.integers(1, 9)), seed=draw(st.integers(0, 2**64 - 1)),
+            t_s=t_s, seed=draw(st.integers(0, 2**64 - 1)),
         ))
     n = draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))

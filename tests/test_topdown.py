@@ -1,6 +1,11 @@
 """Breadth-first class selection and nearest-ancestor assignment."""
 
+import ast
+import os
+
 import pytest
+
+import hierkit
 
 from hierkit.errors import ContractViolation
 from hierkit.labelmap import write_label_map
@@ -131,19 +136,24 @@ class TestAssign:
         with pytest.raises(ContractViolation):
             assign_to_selected(sample_tree(), ["nope"])
 
-    def test_empty_selection_rejected(self):
-        with pytest.raises(ContractViolation):
-            assign_to_selected(sample_tree(), [])
+    def test_empty_selection_leaves_everything_unassigned(self):
+        t = sample_tree()
+        label_map, effective, warnings = assign_to_selected(
+            t, [], t_t=5, provenance="x"
+        )
+        assert (label_map.classes, effective, warnings) == ([], {}, [])
+        assert label_map.total_unassigned() == 125
+        assert write_label_map(label_map) == write_label_map(
+            oracle_assign(t, [], "x")
+        )
 
     def test_conservation_and_disjoint_members(self):
         for seed in range(40):
             t = random_taxonomy(seed, max_nodes=100)
             t_t, budget = random_topdown_params(seed)
-            label_map, result = top_down_pipeline(
+            label_map, _ = top_down_pipeline(
                 t, TopDownConfig(t_t=t_t, budget=budget)
             )
-            if not result.selected:
-                continue
             assert (
                 label_map.total_assigned() + label_map.total_unassigned()
                 == t.total_images()
@@ -160,8 +170,6 @@ class TestAssign:
             selected = top_down_select(
                 t, TopDownConfig(t_t=t_t, budget=budget)
             ).selected
-            if not selected:
-                continue
             label_map, _, _ = assign_to_selected(
                 t, selected, provenance="x"
             )
@@ -187,3 +195,24 @@ class TestPipeline:
             TopDownConfig(t_t=-1, budget=1)
         with pytest.raises(ContractViolation):
             TopDownConfig(t_t=0, budget=0)
+
+
+def test_only_assign_to_selected_builds_label_maps():
+    """One class assignment for both routes: inside the package,
+    ``labelmap.from_members`` has one caller, ``topdown.assign_to_selected``."""
+    package = os.path.dirname(hierkit.__file__)
+    callers = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", "<module>")
+            callers.extend(
+                f"{name[:-3]}.{owner}" for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and node.id == "from_members"
+                or isinstance(node, ast.Attribute)
+                and node.attr == "from_members"
+            )
+    assert callers == ["topdown.assign_to_selected"]
