@@ -66,7 +66,7 @@ def reorg_report(seed: int) -> None:
     )
     print(f"{'variant':<28}{'classes':>8}{'unassigned':>12}")
     for t_b, t_p in ((800, 150), (800, 60), (300, 25)):
-        label_map, _, _ = bottom_up_pipeline(
+        label_map, _ = bottom_up_pipeline(
             taxonomy, ReorgConfig(t_b=t_b, t_p=t_p, t_s=2000, seed=seed)
         )
         name = f"bottom-up t_b={t_b} t_p={t_p}"

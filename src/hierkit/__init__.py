@@ -2,13 +2,9 @@
 video-representation and event-scoring pipeline."""
 
 from .bottomup import (
-    MergeRecord,
     ReorgConfig,
     SubsamplePlan,
-    bind,
     bottom_up_pipeline,
-    promote,
-    roll,
     selected_indices,
     subsample_plan,
 )
@@ -51,13 +47,9 @@ from .topdown import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MergeRecord",
     "ReorgConfig",
     "SubsamplePlan",
-    "bind",
     "bottom_up_pipeline",
-    "promote",
-    "roll",
     "selected_indices",
     "subsample_plan",
     "Codebook",

@@ -4,8 +4,8 @@ The four operations run in that fixed order. Roll collapses single-child
 links, bind folds whole low-image subtrees into their top node, promote moves
 remaining small classes into their parents until every surviving class meets
 the image floor, and subsample caps over-populated classes. The first three
-transform the tree and log every merge; subsampling is a plan over image
-indices and never touches image data.
+transform one working copy of the tree in place; subsampling is a plan over
+image indices and never touches image data.
 
 Each merge moves a node's images into its current parent, which is always
 its nearest surviving ancestor in the original tree. So the label map comes
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContractViolation, ParseError
 from .io import _records
 from .labelmap import LabelMap
-from .taxonomy import SynsetId, Taxonomy, TaxonomyNode, subtree_counts
+from .taxonomy import Taxonomy, TaxonomyNode, subtree_counts
 from .topdown import assign_to_selected
 
 SELECTION_RULE = "shuffle-v1"
@@ -48,17 +48,6 @@ class ReorgConfig:
 
 
 @dataclass(frozen=True)
-class MergeRecord:
-    op: str
-    absorbed: SynsetId
-    survivor: SynsetId
-    images_moved: int
-
-
-MergeLog = list[MergeRecord]
-
-
-@dataclass(frozen=True)
 class PlanEntry:
     class_id: int
     target_count: int
@@ -69,7 +58,6 @@ class SubsamplePlan:
     entries: list[PlanEntry]
     t_s: int
     seed: int
-    rule: str = SELECTION_RULE
 
 
 def _working_copy(taxonomy: Taxonomy) -> Taxonomy:
@@ -89,58 +77,39 @@ def _working_copy(taxonomy: Taxonomy) -> Taxonomy:
     )
 
 
-def roll(taxonomy: Taxonomy) -> tuple[Taxonomy, MergeLog]:
-    """Merge every sole child into its parent, iterated to fixpoint.
+def _roll(out: Taxonomy) -> None:
+    """Merge every sole child into its parent, iterated to fixpoint, in place.
 
     A parent with exactly one child absorbs that child's images; the child's
     children are re-parented to it. Absorption can leave the parent with a
     single child again (a chain), so each node is drained until it has zero
     or at least two children. The result has no single-child node.
     """
-    out = _working_copy(taxonomy)
-    return out, _roll(out)
-
-
-def _roll(out: Taxonomy) -> MergeLog:
-    """``roll`` in place."""
     nodes = out.nodes
-    log: list[MergeRecord] = []
     for node_id in sorted(nodes):
         if node_id not in nodes:
             continue
         parent = nodes[node_id]
         while len(parent.children) == 1:
             child = nodes[parent.children[0]]
-            log.append(
-                MergeRecord("roll", child.id, parent.id, child.direct_count)
-            )
             parent.direct_count += child.direct_count
             parent.children = list(child.children)
             for grandchild in child.children:
                 nodes[grandchild].parent = parent.id
             del nodes[child.id]
-    return log
 
 
-def bind(taxonomy: Taxonomy, t_b: int) -> tuple[Taxonomy, MergeLog]:
-    """Collapse every maximal subtree whose total image count is below t_b.
+def _bind(out: Taxonomy, t_b: int) -> None:
+    """Collapse every maximal subtree whose total image count is below t_b,
+    in place.
 
     A non-leaf node heads a collapse when its subtree-inclusive count is
     under the threshold while its parent's is not (or it is the root); the
     entire subtree folds into that node. Leaves below the threshold are left
     alone: lifting those is promote's job.
     """
-    if t_b < 0:
-        raise ContractViolation(f"t_b must be >= 0, got {t_b}")
-    out = _working_copy(taxonomy)
-    return out, _bind(out, t_b)
-
-
-def _bind(out: Taxonomy, t_b: int) -> MergeLog:
-    """``bind`` in place."""
     nodes = out.nodes
     sums = subtree_counts(out)
-    log: list[MergeRecord] = []
     heads = [
         node_id
         for node_id in sorted(nodes)
@@ -153,26 +122,17 @@ def _bind(out: Taxonomy, t_b: int) -> MergeLog:
     ]
     for head_id in heads:
         head = nodes[head_id]
-        absorbed: list[SynsetId] = []
         stack = list(head.children)
         while stack:
-            cur = stack.pop()
-            absorbed.append(cur)
-            stack.extend(nodes[cur].children)
-        for node_id in sorted(absorbed):
-            log.append(
-                MergeRecord(
-                    "bind", node_id, head_id, nodes[node_id].direct_count
-                )
-            )
-            head.direct_count += nodes[node_id].direct_count
-            del nodes[node_id]
+            node = nodes.pop(stack.pop())
+            head.direct_count += node.direct_count
+            stack.extend(node.children)
         head.children = []
-    return log
 
 
-def promote(taxonomy: Taxonomy, t_p: int) -> tuple[Taxonomy, MergeLog]:
-    """Move every class under the image floor into its parent, deepest first.
+def _promote(out: Taxonomy, t_p: int) -> None:
+    """Move every class under the image floor into its parent, deepest
+    first, in place.
 
     Children are settled before their ancestors, so a parent that grows past
     the floor while absorbing promoted children keeps its images, and one
@@ -180,29 +140,17 @@ def promote(taxonomy: Taxonomy, t_p: int) -> tuple[Taxonomy, MergeLog]:
     surviving non-root node holds at least t_p images; the root may stay
     below the floor and is dealt with when the label map is built.
     """
-    if t_p < 0:
-        raise ContractViolation(f"t_p must be >= 0, got {t_p}")
-    out = _working_copy(taxonomy)
-    return out, _promote(out, t_p)
-
-
-def _promote(out: Taxonomy, t_p: int) -> MergeLog:
-    """``promote`` in place."""
     nodes = out.nodes
     depths = out.depths()
     order = sorted(
         (node_id for node_id in nodes if node_id != out.root),
         key=lambda n: (-depths[n], n),
     )
-    log: list[MergeRecord] = []
     for node_id in order:
         node = nodes[node_id]
         if node.direct_count >= t_p:
             continue
         parent = nodes[node.parent]
-        log.append(
-            MergeRecord("promote", node_id, parent.id, node.direct_count)
-        )
         parent.direct_count += node.direct_count
         parent.children.remove(node_id)
         parent.children.extend(node.children)
@@ -210,7 +158,6 @@ def _promote(out: Taxonomy, t_p: int) -> MergeLog:
         for child in node.children:
             nodes[child].parent = parent.id
         del nodes[node_id]
-    return log
 
 
 def selected_indices(
@@ -252,7 +199,7 @@ def subsample_plan(
 
 def bottom_up_pipeline(
     taxonomy: Taxonomy, config: ReorgConfig
-) -> tuple[LabelMap, SubsamplePlan, MergeLog]:
+) -> tuple[LabelMap, SubsamplePlan]:
     """roll, then bind(t_b), then promote(t_p), then subsample(t_s).
 
     The three tree steps run in place on one copy of ``taxonomy``. The
@@ -260,9 +207,9 @@ def bottom_up_pipeline(
     least t_p; the synsets pooled at a root below the floor are unassigned.
     """
     promoted = _working_copy(taxonomy)
-    log = _roll(promoted)
-    log += _bind(promoted, config.t_b)
-    log += _promote(promoted, config.t_p)
+    _roll(promoted)
+    _bind(promoted, config.t_b)
+    _promote(promoted, config.t_p)
 
     selected = [
         node_id
@@ -278,12 +225,12 @@ def bottom_up_pipeline(
         taxonomy, selected, provenance=provenance
     )
     plan = subsample_plan(label_map, config.t_s, config.seed)
-    return label_map, plan, log
+    return label_map, plan
 
 
 def write_plan(plan: SubsamplePlan) -> str:
     lines = [
-        f"# hierkit-subsample-plan v1 rule={plan.rule} "
+        f"# hierkit-subsample-plan v1 rule={SELECTION_RULE} "
         f"t_s={plan.t_s} seed={plan.seed}"
     ]
     lines.extend(
@@ -335,4 +282,4 @@ def read_plan(text: str) -> SubsamplePlan:
             raise ParseError(f"duplicate class id {class_id}", line=lineno)
         class_ids.add(class_id)
         entries.append(PlanEntry(class_id=class_id, target_count=target))
-    return SubsamplePlan(entries=entries, t_s=t_s, seed=seed, rule=rule)
+    return SubsamplePlan(entries=entries, t_s=t_s, seed=seed)

@@ -1,10 +1,13 @@
 """Command-line entry point exposing every pipeline stage.
 
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 contract
-violation. All file outputs are written atomically (temp file + rename) and
-start with a provenance comment of the form
-``# hierkit <version> <subcommand> <flags>``, so re-running a subcommand
-with identical inputs produces byte-identical files.
+violation. All file outputs are written atomically (temp file + rename), and
+re-running a subcommand with identical inputs produces byte-identical files.
+The provenance ``hierkit <version> <subcommand> <flags>`` is recorded as
+follows: text reports, train lists, vector, Gram and score CSVs start with
+``# <provenance>`` (a Gram appends `` | gamma=<value>``); label maps carry it
+inside their ``# hierkit-labelmap v1`` header; codebooks and models hold it
+in a length-prefixed field; subsample plans have only their own header.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ def _cmd_reorg_bottomup(ns, prov: str) -> int:
     _apply_preset(ns, {"tb": "--tb", "tp": "--tp", "ts": "--ts"})
     taxonomy, _ = _load_taxonomy(ns)
     config = ReorgConfig(t_b=ns.tb, t_p=ns.tp, t_s=ns.ts, seed=ns.seed)
-    label_map, plan, _ = bottom_up_pipeline(taxonomy, config)
+    label_map, plan = bottom_up_pipeline(taxonomy, config)
     label_map.provenance = f"{prov} | {label_map.provenance}"
     atomic_write_text(ns.out, write_label_map(label_map))
     if ns.plan_out:
@@ -234,8 +237,10 @@ def _cmd_pool(ns, prov: str) -> int:
 
 
 def _cmd_vlad(ns, prov: str) -> int:
-    if ns.codebook and (ns.k is not None or ns.save_codebook):
-        raise UsageError("--codebook excludes --k and --save-codebook")
+    if ns.codebook and (
+        ns.k is not None or ns.seed is not None or ns.save_codebook
+    ):
+        raise UsageError("--codebook excludes --k, --seed and --save-codebook")
     if not ns.codebook and ns.k is None:
         raise UsageError("need --codebook or --k to build one")
     ids = _frame_ids(ns.frames)
@@ -243,7 +248,7 @@ def _cmd_vlad(ns, prov: str) -> int:
     if ns.codebook:
         codebook, _ = read_codebook(_read_bytes(ns.codebook))
     else:
-        codebook = kmeans_fit(np.vstack(matrices), ns.k, ns.seed)
+        codebook = kmeans_fit(np.vstack(matrices), ns.k, ns.seed or 0)
         if ns.save_codebook:
             atomic_write_bytes(
                 ns.save_codebook, write_codebook(codebook, provenance=prov)
@@ -398,7 +403,7 @@ def _build_parser() -> _Parser:
         frames_args(p)
         p.add_argument("--codebook")
         p.add_argument("--k", type=int)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, help="k-means seed (default 0)")
         p.add_argument("--save-codebook", dest="save_codebook")
 
     def p_kernel(p):

@@ -406,6 +406,8 @@ def read_model(data: bytes) -> tuple[SvmModel, str]:
     if not np.isfinite(bias):
         raise ParseError(f"model bias must be finite, got {bias}")
     train_ids = ids_text.split("\n") if ids_text else None
+    if train_ids is not None and len(train_ids) != n:
+        raise ParseError(f"model has {len(train_ids)} training ids, not {n}")
     model = SvmModel(
         alpha=alpha,
         labels=labels.astype(np.float64),

@@ -163,19 +163,17 @@ def _violating_sets(y: np.ndarray, alpha: np.ndarray,
 
 
 def train_kernel_svm(gram, labels, C: float,
-                     tol: float = KKT_TOL,
-                     max_updates: int = MAX_PAIR_UPDATES,
                      train_ids: list[str] | None = None) -> SvmModel:
     """Solve the dual soft-margin problem on a precomputed Gram matrix.
 
     Repeatedly picks the maximally violating pair of dual variables and
     solves the two-variable subproblem analytically, stopping when the
-    violation gap falls under ``tol``. A fit that stops with the gap still
-    at or above ``tol`` (``max_updates`` pair updates ran out, or the pair's
-    feasible step vanished) warns with a ``RuntimeWarning``. The box
-    constraint 0 <= alpha <= C holds up to rounding: a pair update can
-    overshoot it by about 1e-14, which ``io.ALPHA_SLACK`` tolerates when a
-    model is read back.
+    violation gap falls under ``KKT_TOL``. A fit that stops with the gap
+    still at or above ``KKT_TOL`` (``MAX_PAIR_UPDATES`` pair updates ran out,
+    or the pair's feasible step vanished) warns with a ``RuntimeWarning``.
+    The box constraint 0 <= alpha <= C holds up to rounding: a pair update
+    can overshoot it by about 1e-14, which ``io.ALPHA_SLACK`` tolerates when
+    a model is read back.
     """
     K = _as_matrix(gram, "gram")
     n = K.shape[0]
@@ -199,12 +197,12 @@ def train_kernel_svm(gram, labels, C: float,
     # f0_i = sum_j alpha_j y_j K_ij, the bias-free decision value
     f0 = np.zeros(n)
 
-    for _ in range(max_updates):
+    for _ in range(MAX_PAIR_UPDATES):
         neg_e = y - f0  # -E0_t = y_t - f0_t
         up, down = _violating_sets(y, alpha, C)
         m_val = np.max(neg_e[up])
         big_m = np.min(neg_e[down])
-        if m_val - big_m < tol:
+        if m_val - big_m < KKT_TOL:
             break
         i = int(np.flatnonzero(up)[np.argmax(neg_e[up])])
         j = int(np.flatnonzero(down)[np.argmin(neg_e[down])])
@@ -230,10 +228,10 @@ def train_kernel_svm(gram, labels, C: float,
     neg_e = y - f0
     up, down = _violating_sets(y, alpha, C)
     gap = float(np.max(neg_e[up]) - np.min(neg_e[down]))
-    if not gap < tol:
+    if not gap < KKT_TOL:
         warnings.warn(
             f"train_kernel_svm: not converged, KKT gap {gap:.3g} >= tol "
-            f"{tol:g} (max_updates={max_updates})",
+            f"{KKT_TOL:g} (max_updates={MAX_PAIR_UPDATES})",
             RuntimeWarning,
         )
     free = (alpha > 1e-8) & (alpha < C - 1e-8)
@@ -245,7 +243,7 @@ def train_kernel_svm(gram, labels, C: float,
 
 
 def kkt_violation(model: SvmModel, gram) -> float:
-    """Maximal violating-pair gap m - M; at most ``tol`` after training."""
+    """Maximal violating-pair gap m - M; at most ``KKT_TOL`` after training."""
     K = _as_matrix(gram, "gram")
     y = model.labels
     f0 = K @ model.coef

@@ -109,17 +109,6 @@ def oracle_promote(tree: SimpleTree, t_p: int) -> None:
         tree.merge(victim, tree.parent[victim])
 
 
-def oracle_replay_members(
-    taxonomy: Taxonomy, log
-) -> dict[str, set[str]]:
-    """Which original synsets each surviving node absorbed, by replaying a
-    merge log."""
-    members = {node_id: {node_id} for node_id in taxonomy.nodes}
-    for record in log:
-        members[record.survivor] |= members.pop(record.absorbed)
-    return members
-
-
 def oracle_label_map(
     root: str,
     pooled: dict[str, int],
@@ -822,7 +811,7 @@ def oracle_read_plan(text: str) -> SubsamplePlan:
         if any(entry.class_id == class_id for entry in entries):
             raise ParseError(f"duplicate class id {class_id}", line=lineno)
         entries.append(PlanEntry(class_id=class_id, target_count=target))
-    return SubsamplePlan(entries=entries, t_s=t_s, seed=seed, rule=rule)
+    return SubsamplePlan(entries=entries, t_s=t_s, seed=seed)
 
 
 # The library's original CSV writers, kept verbatim: one ``fmt`` call per

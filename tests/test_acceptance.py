@@ -14,7 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from hierkit.bottomup import ReorgConfig, bind, bottom_up_pipeline, promote, roll
+from hierkit import bottomup
+from hierkit.bottomup import ReorgConfig, bottom_up_pipeline
 from hierkit.cli import main
 from hierkit.encoding import average_pool, kmeans_fit, vlad_encode
 from hierkit.evaluation import (
@@ -59,27 +60,30 @@ def test_criterion_1_reorg_invariants():
         total = taxonomy.total_images()
         t_b, t_p, _ = random_reorg_params(seed)
 
-        rolled, _ = roll(taxonomy)
-        assert rolled.total_images() == total
-        assert all(len(n.children) != 1 for n in rolled.nodes.values())
-        rolled_again, log = roll(rolled)
-        assert log == [] and set(rolled_again.nodes) == set(rolled.nodes)
+        # the pipeline's three in-place steps, chained on one copy
+        tree = bottomup._working_copy(taxonomy)
+        bottomup._roll(tree)
+        assert tree.total_images() == total
+        assert all(len(n.children) != 1 for n in tree.nodes.values())
+        rolled_nodes = set(tree.nodes)
+        bottomup._roll(tree)
+        assert set(tree.nodes) == rolled_nodes
 
-        bound, _ = bind(rolled, t_b)
-        assert bound.total_images() == total
-        bound_sums = subtree_counts(bound)
+        bottomup._bind(tree, t_b)
+        assert tree.total_images() == total
+        bound_sums = subtree_counts(tree)
         assert all(
             bound_sums[node_id] >= t_b
-            for node_id, node in bound.nodes.items()
+            for node_id, node in tree.nodes.items()
             if node.children
         )
 
-        promoted, _ = promote(bound, t_p)
-        assert promoted.total_images() == total
+        bottomup._promote(tree, t_p)
+        assert tree.total_images() == total
         assert all(
             node.direct_count >= t_p
-            for node_id, node in promoted.nodes.items()
-            if node_id != promoted.root
+            for node_id, node in tree.nodes.items()
+            if node_id != tree.root
         )
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"invariant suite took {elapsed:.1f}s"
@@ -92,7 +96,7 @@ def test_criterion_2_oracle_equivalence():
         taxonomy = random_taxonomy(seed, max_nodes=200, max_count=10_000)
         t_b, t_p, t_s = random_reorg_params(seed)
 
-        label_map, _, _ = bottom_up_pipeline(
+        label_map, _ = bottom_up_pipeline(
             taxonomy, ReorgConfig(t_b=t_b, t_p=t_p, t_s=t_s, seed=seed)
         )
         expected = oracle_bottom_up(taxonomy, t_b, t_p, label_map.provenance)
@@ -144,7 +148,7 @@ def test_criterion_3_imagenet_metadata():
         (3000, 200): 12_988,
     }
     for (t_b, t_p), expected in expectations.items():
-        label_map, _, _ = bottom_up_pipeline(
+        label_map, _ = bottom_up_pipeline(
             taxonomy, ReorgConfig(t_b=t_b, t_p=t_p, t_s=2000, seed=0)
         )
         assert abs(len(label_map.classes) - expected) <= 0.05 * expected

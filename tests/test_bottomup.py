@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 from hierkit import bottomup
 from hierkit.bottomup import (
     ReorgConfig,
-    bind,
     bottom_up_pipeline,
-    promote,
-    roll,
     selected_indices,
     subsample_plan,
     read_plan,
@@ -26,9 +23,7 @@ from oracles import (
     oracle_bind,
     oracle_assign,
     oracle_bottom_up,
-    oracle_label_map,
     oracle_promote,
-    oracle_replay_members,
     oracle_roll,
     oracle_selected_indices,
 )
@@ -50,6 +45,20 @@ def sample_tree():
     )
 
 
+def on_copy(step, taxonomy, *args):
+    """Run one in-place step on a working copy of ``taxonomy``."""
+    out = bottomup._working_copy(taxonomy)
+    step(out, *args)
+    return out
+
+
+def survivor_members(taxonomy, out):
+    """The synsets of ``taxonomy`` whose nearest surviving ancestor-or-self
+    is each node of ``out``."""
+    assigned = oracle_assign(taxonomy, list(out.nodes), "")
+    return {cls.representative: set(cls.members) for cls in assigned.classes}
+
+
 class TestRoll:
     def test_single_link_chain_collapses_fully(self):
         t = tree_from(
@@ -59,21 +68,20 @@ class TestRoll:
             ],
             {"mamba": 10, "black_mamba": 20, "green_mamba": 30, "cobra": 5},
         )
-        rolled, log = roll(t)
+        rolled = on_copy(bottomup._roll, t)
         assert "black_mamba" not in rolled.nodes
         assert "green_mamba" not in rolled.nodes
         assert rolled.nodes["mamba"].direct_count == 60
-        members = oracle_replay_members(t, log)
+        members = survivor_members(t, rolled)
         assert members["mamba"] == {"mamba", "black_mamba", "green_mamba"}
 
     def test_two_children_untouched(self):
         t = tree_from([("R", "A"), ("R", "B")], {"A": 1, "B": 2})
-        rolled, log = roll(t)
-        assert log == []
-        assert set(rolled.nodes) == {"R", "A", "B"}
+        rolled = on_copy(bottomup._roll, t)
+        assert rolled == t
 
     def test_hand_traced_tree(self):
-        rolled, _ = roll(sample_tree())
+        rolled = on_copy(bottomup._roll, sample_tree())
         assert rolled.nodes["B"].direct_count == 8
         assert rolled.nodes["B"].children == []
         assert rolled.nodes["A"].direct_count == 10
@@ -82,28 +90,25 @@ class TestRoll:
     def test_no_single_child_after_roll_and_idempotent(self):
         for seed in range(40):
             t = random_taxonomy(seed, max_nodes=80)
-            rolled, _ = roll(t)
+            rolled = on_copy(bottomup._roll, t)
             assert all(
                 len(n.children) != 1 for n in rolled.nodes.values()
             )
-            again, log = roll(rolled)
-            assert log == []
-            assert set(again.nodes) == set(rolled.nodes)
+            assert on_copy(bottomup._roll, rolled) == rolled
 
     def test_matches_single_merge_oracle(self):
         for seed in range(40):
             t = random_taxonomy(seed, max_nodes=80)
-            rolled, log = roll(t)
+            rolled = on_copy(bottomup._roll, t)
             expected = SimpleTree(t)
             oracle_roll(expected)
             assert {v: n.direct_count for v, n in rolled.nodes.items()} == expected.count
-            assert oracle_replay_members(t, log) == expected.members
+            assert survivor_members(t, rolled) == expected.members
 
     def test_conserves_total(self):
         for seed in range(40):
             t = random_taxonomy(seed, max_nodes=80)
-            rolled, _ = roll(t)
-            assert rolled.total_images() == t.total_images()
+            assert on_copy(bottomup._roll, t).total_images() == t.total_images()
 
 
 class TestBind:
@@ -119,26 +124,24 @@ class TestBind:
                 "shovelhead": 30, "tuna": 5000,
             },
         )
-        bound, log = bind(t, 1000)
+        bound = on_copy(bottomup._bind, t, 1000)
         assert bound.nodes["hammerhead"].direct_count == 220
         assert bound.nodes["hammerhead"].children == []
-        members = oracle_replay_members(t, log)
+        members = survivor_members(t, bound)
         assert members["hammerhead"] == {
             "hammerhead", "smooth", "smalleye", "shovelhead"
         }
 
     def test_threshold_zero_is_identity(self):
         t = sample_tree()
-        bound, log = bind(t, 0)
-        assert log == []
-        assert set(bound.nodes) == set(t.nodes)
+        assert on_copy(bottomup._bind, t, 0) == t
 
     def test_hand_traced_tree(self):
         t = tree_from(
             [("R", "A"), ("R", "B"), ("R", "C"), ("A", "A1"), ("A", "A2")],
             {"A": 10, "A1": 3, "A2": 4, "B": 8, "C": 100},
         )
-        bound, _ = bind(t, 20)
+        bound = on_copy(bottomup._bind, t, 20)
         assert bound.nodes["A"].direct_count == 17
         assert bound.nodes["A"].children == []
         assert bound.nodes["B"].direct_count == 8  # leaf: promote's job
@@ -148,7 +151,7 @@ class TestBind:
         for seed in range(40):
             t = random_taxonomy(seed, max_nodes=80)
             t_b, _, _ = random_reorg_params(seed)
-            bound, _ = bind(t, t_b)
+            bound = on_copy(bottomup._bind, t, t_b)
             sums = subtree_counts(bound)
             for node in bound.nodes.values():
                 if node.children:
@@ -158,11 +161,11 @@ class TestBind:
         for seed in range(40):
             t = random_taxonomy(seed, max_nodes=80)
             t_b, _, _ = random_reorg_params(seed)
-            bound, log = bind(t, t_b)
+            bound = on_copy(bottomup._bind, t, t_b)
             expected = SimpleTree(t)
             oracle_bind(expected, t_b)
             assert {v: n.direct_count for v, n in bound.nodes.items()} == expected.count
-            assert oracle_replay_members(t, log) == expected.members
+            assert survivor_members(t, bound) == expected.members
 
 
 class TestPromote:
@@ -172,25 +175,23 @@ class TestPromote:
              ("dining_table", "triclinium")],
             {"dining_table": 500, "triclinium": 5, "chair": 300},
         )
-        promoted, log = promote(t, 100)
-        assert "triclinium" not in promoted.nodes
+        promoted = on_copy(bottomup._promote, t, 100)
+        assert set(promoted.nodes) == set(t.nodes) - {"triclinium"}
         assert promoted.nodes["dining_table"].direct_count == 505
-        assert len(log) == 1
-        assert log[0].images_moved == 5
+        members = survivor_members(t, promoted)
+        assert members["dining_table"] == {"dining_table", "triclinium"}
 
     def test_identity_when_all_above_floor(self):
         t = tree_from(
             [("R", "A"), ("R", "B")], {"R": 50, "A": 40, "B": 60}
         )
-        promoted, log = promote(t, 30)
-        assert log == []
-        assert set(promoted.nodes) == set(t.nodes)
+        assert on_copy(bottomup._promote, t, 30) == t
 
     def test_every_survivor_meets_floor(self):
         for seed in range(40):
             t = random_taxonomy(seed, max_nodes=80)
             _, t_p, _ = random_reorg_params(seed)
-            promoted, _ = promote(t, t_p)
+            promoted = on_copy(bottomup._promote, t, t_p)
             for node_id, node in promoted.nodes.items():
                 if node_id != promoted.root:
                     assert node.direct_count >= t_p
@@ -199,11 +200,11 @@ class TestPromote:
         for seed in range(40):
             t = random_taxonomy(seed, max_nodes=80)
             _, t_p, _ = random_reorg_params(seed)
-            promoted, log = promote(t, t_p)
+            promoted = on_copy(bottomup._promote, t, t_p)
             expected = SimpleTree(t)
             oracle_promote(expected, t_p)
             assert {v: n.direct_count for v, n in promoted.nodes.items()} == expected.count
-            assert oracle_replay_members(t, log) == expected.members
+            assert survivor_members(t, promoted) == expected.members
 
 
 class TestSubsamplePlan:
@@ -211,7 +212,7 @@ class TestSubsamplePlan:
         t = tree_from(
             [("R", "A"), ("R", "B")], {"A": count, "B": 55, "R": 10_000}
         )
-        label_map, _, _ = bottom_up_pipeline(
+        label_map, _ = bottom_up_pipeline(
             t, ReorgConfig(t_b=0, t_p=0, t_s=2000, seed=7)
         )
         return label_map
@@ -270,7 +271,7 @@ class TestSubsamplePlan:
             (e.class_id, e.target_count) for e in plan.entries
         ]
         assert parsed.seed == plan.seed
-        assert parsed.rule == plan.rule
+        assert write_plan(parsed) == write_plan(plan)
 
     def test_invalid_threshold_rejected(self):
         label_map = self.make_map(10)
@@ -284,7 +285,7 @@ class TestPipeline:
             nodes={"only": TaxonomyNode(id="only", direct_count=42)},
             root="only",
         )
-        label_map, plan, _ = bottom_up_pipeline(
+        label_map, plan = bottom_up_pipeline(
             t, ReorgConfig(t_b=0, t_p=0, t_s=100, seed=0)
         )
         assert len(label_map.classes) == 1
@@ -293,7 +294,7 @@ class TestPipeline:
         assert plan.entries[0].target_count == 42
 
     def test_sample_tree_conservation_and_root_rule(self):
-        label_map, _, _ = bottom_up_pipeline(
+        label_map, _ = bottom_up_pipeline(
             sample_tree(), ReorgConfig(t_b=20, t_p=10, t_s=2000, seed=1)
         )
         assert [c.representative for c in label_map.classes] == ["A", "C"]
@@ -305,7 +306,7 @@ class TestPipeline:
         for seed in range(60):
             t = random_taxonomy(seed)
             t_b, t_p, t_s = random_reorg_params(seed)
-            label_map, _, _ = bottom_up_pipeline(
+            label_map, _ = bottom_up_pipeline(
                 t, ReorgConfig(t_b=t_b, t_p=t_p, t_s=t_s, seed=seed)
             )
             assert (
@@ -317,7 +318,7 @@ class TestPipeline:
         for seed in range(30):
             t = random_taxonomy(seed)
             t_b, t_p, t_s = random_reorg_params(seed)
-            label_map, _, _ = bottom_up_pipeline(
+            label_map, _ = bottom_up_pipeline(
                 t, ReorgConfig(t_b=t_b, t_p=t_p, t_s=t_s, seed=seed)
             )
             seen = set()
@@ -339,7 +340,7 @@ class TestPipeline:
             t_b, _, t_s = random_reorg_params(seed)
             sizes = []
             for t_p in (0, 3, 10, 50, 500, 15_000):
-                label_map, _, _ = bottom_up_pipeline(
+                label_map, _ = bottom_up_pipeline(
                     t, ReorgConfig(t_b=t_b, t_p=t_p, t_s=t_s, seed=seed)
                 )
                 sizes.append(len(label_map.classes))
@@ -348,8 +349,8 @@ class TestPipeline:
     def test_byte_identical_reruns(self):
         t = random_taxonomy(11)
         config = ReorgConfig(t_b=100, t_p=10, t_s=50, seed=3)
-        first_map, first_plan, _ = bottom_up_pipeline(t, config)
-        second_map, second_plan, _ = bottom_up_pipeline(t, config)
+        first_map, first_plan = bottom_up_pipeline(t, config)
+        second_map, second_plan = bottom_up_pipeline(t, config)
         assert write_label_map(first_map) == write_label_map(second_map)
         assert write_plan(first_plan) == write_plan(second_plan)
 
@@ -358,7 +359,7 @@ class TestPipeline:
             t = random_taxonomy(seed, max_nodes=80)
             t_b, t_p, t_s = random_reorg_params(seed)
             config = ReorgConfig(t_b=t_b, t_p=t_p, t_s=t_s, seed=seed)
-            label_map, _, _ = bottom_up_pipeline(t, config)
+            label_map, _ = bottom_up_pipeline(t, config)
             expected = oracle_bottom_up(t, t_b, t_p, label_map.provenance)
             assert write_label_map(label_map) == write_label_map(expected)
 
@@ -368,7 +369,7 @@ class TestPipeline:
         for seed in range(20):
             t = random_taxonomy(seed, max_nodes=80)
             t_p = t.total_images() + 1
-            label_map, plan, _ = bottom_up_pipeline(
+            label_map, plan = bottom_up_pipeline(
                 t, ReorgConfig(t_b=0, t_p=t_p, t_s=5, seed=seed)
             )
             assert label_map.classes == [] and plan.entries == []
@@ -377,9 +378,9 @@ class TestPipeline:
             assert written == write_label_map(oracle_bottom_up(t, 0, t_p, prov))
             assert written == write_label_map(oracle_assign(t, [], prov))
 
-    def test_equals_chained_public_steps(self, monkeypatch):
-        """One working copy, in-place steps: the label map, plan and log of
-        roll, then bind, then promote, each on its own copy."""
+    def test_one_working_copy_and_input_untouched(self, monkeypatch):
+        """The three steps run in place on one copy of the input tree, and
+        the result still equals the naive oracle."""
         copies = []
         real_copy = bottomup._working_copy
 
@@ -395,37 +396,14 @@ class TestPipeline:
             with monkeypatch.context() as patch:
                 patch.setattr(bottomup, "_working_copy", counting_copy)
                 copies.clear()
-                label_map, plan, log = bottom_up_pipeline(t, config)
+                label_map, plan = bottom_up_pipeline(t, config)
                 assert len(copies) == 1
             assert t == before  # the input tree is untouched
 
-            rolled, roll_log = roll(t)
-            bound, bind_log = bind(rolled, t_b)
-            promoted, promote_log = promote(bound, t_p)
-            chained = roll_log + bind_log + promote_log
-            assert log == chained
-            counts = {i: node.direct_count for i, node in t.nodes.items()}
-            expected = oracle_label_map(
-                promoted.root,
-                {i: node.direct_count for i, node in promoted.nodes.items()},
-                oracle_replay_members(t, chained), counts, t_p,
-                label_map.provenance,
-            )
+            expected = oracle_bottom_up(t, t_b, t_p, label_map.provenance)
             assert write_label_map(label_map) == write_label_map(expected)
             assert write_plan(plan) == write_plan(
                 subsample_plan(expected, t_s, seed))
-
-    def test_absorbed_ids_unique_per_pass(self):
-        for seed in range(20):
-            t = random_taxonomy(seed, max_nodes=80)
-            t_b, t_p, t_s = random_reorg_params(seed)
-            _, _, log = bottom_up_pipeline(
-                t, ReorgConfig(t_b=t_b, t_p=t_p, t_s=t_s, seed=seed)
-            )
-            for op in ("roll", "bind", "promote"):
-                absorbed = [r.absorbed for r in log if r.op == op]
-                assert len(absorbed) == len(set(absorbed))
-                assert all(r.images_moved >= 0 for r in log)
 
 
 @settings(max_examples=100, deadline=None)
@@ -433,7 +411,7 @@ class TestPipeline:
 def test_conservation_property(seed):
     t = random_taxonomy(seed, max_nodes=60)
     t_b, t_p, t_s = random_reorg_params(seed)
-    label_map, _, _ = bottom_up_pipeline(
+    label_map, _ = bottom_up_pipeline(
         t, ReorgConfig(t_b=t_b, t_p=t_p, t_s=t_s, seed=seed)
     )
     assert (

@@ -642,7 +642,7 @@ class TestEncodingCommands:
             ["0.0"] * 9
         )
 
-    @pytest.mark.parametrize("flag", ["--k", "--save-codebook"])
+    @pytest.mark.parametrize("flag", ["--k", "--seed", "--save-codebook"])
     def test_vlad_codebook_excludes_fit_flags(self, videos, tmp_path, flag):
         codebook = tmp_path / "codebook.hkcb"
         assert run(
@@ -653,7 +653,8 @@ class TestEncodingCommands:
         out = tmp_path / "b.csv"
         assert run(
             "vlad", "--frames", *videos["paths"], "--codebook", str(codebook),
-            flag, "4" if flag == "--k" else str(again), "--out", str(out),
+            flag, str(again) if flag == "--save-codebook" else "5",
+            "--out", str(out),
         ) == 1
         assert not out.exists() and not again.exists()
 
@@ -893,6 +894,26 @@ class TestExitCodes:
         assert blob[labels_at:labels_at + 2] == b"\x01\xff"
         model = tmp_path / "bad.hksv"
         model.write_bytes(blob[:labels_at] + b"\x05" + blob[labels_at + 1:])
+        rows = tmp_path / "rows.csv"
+        rows.write_text("cols,a,b\nx,0.5,0.25\n")
+        out = tmp_path / "scores.csv"
+        code = run(
+            "score", "--model", str(model), "--gram-rows", str(rows),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_model_id_count_other_than_n_is_parse_error(self, tmp_path):
+        blob = write_model(SvmModel(
+            alpha=np.array([0.5, 0.25, 0.25]),
+            labels=np.array([1.0, -1.0, -1.0]),
+            bias=0.0, C=1.0, train_ids=["a", "b", "c"],
+        ))
+        ids_at = 29 + 9 * 3  # empty provenance, then n, C, bias, alpha, labels
+        assert blob[ids_at:] == b"\x05\x00\x00\x00a\nb\nc"
+        model = tmp_path / "bad.hksv"
+        model.write_bytes(blob[:ids_at] + b"\x03\x00\x00\x00a\nb")
         rows = tmp_path / "rows.csv"
         rows.write_text("cols,a,b\nx,0.5,0.25\n")
         out = tmp_path / "scores.csv"

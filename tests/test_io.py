@@ -244,6 +244,16 @@ class TestContainers:
         with pytest.raises(ParseError):
             read_model(bad)
 
+    @pytest.mark.parametrize("ids", [["a", "b"], ["a", "b", "c", "d"]])
+    def test_id_count_other_than_n_rejected(self, ids):
+        blob = write_model(_MODEL)
+        ids_at = _LABELS_AT + 3
+        assert blob[ids_at:] == struct.pack("<I", 0)  # n = 3, no ids
+        text = "\n".join(ids).encode()
+        bad = blob[:ids_at] + struct.pack("<I", len(text)) + text
+        with pytest.raises(ParseError, match="training ids"):
+            read_model(bad)
+
     def test_alpha_rounded_past_its_box_loads(self):
         # the solver's pair updates can land a few ulps outside [0, C]
         model = SvmModel(
