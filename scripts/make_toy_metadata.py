@@ -12,15 +12,10 @@ import os
 import random
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--outdir", default="toy_metadata")
-    parser.add_argument("--nodes", type=int, default=400)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
-    rng = random.Random(args.seed)
-    n = args.nodes
+def synthetic_hierarchy(seed: int, n: int = 400):
+    """Is-a edges ``(parent, child)`` and image counts of ``n`` synsets;
+    the same seed gives the same hierarchy."""
+    rng = random.Random(seed)
     ids = [f"n{i:08d}" for i in range(n)]
     rng.shuffle(ids)
 
@@ -44,21 +39,32 @@ def main() -> None:
             counts[node_id] = rng.randint(2, 400)
         else:
             counts[node_id] = rng.randint(2_000, 6_000)
+    return edges, counts
 
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--outdir", default="toy_metadata")
+    parser.add_argument("--nodes", type=int, default=400)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    edges, counts = synthetic_hierarchy(args.seed, args.nodes)
+    ids = sorted(counts)
     os.makedirs(args.outdir, exist_ok=True)
     with open(os.path.join(args.outdir, "is_a.tsv"), "w") as fh:
         fh.writelines(f"{p} {c}\n" for p, c in edges)
     with open(os.path.join(args.outdir, "counts.tsv"), "w") as fh:
         fh.writelines(f"{s} {c}\n" for s, c in sorted(counts.items()))
     with open(os.path.join(args.outdir, "words.tsv"), "w") as fh:
-        fh.writelines(f"{s}\tconcept {i}\n" for i, s in enumerate(sorted(ids)))
+        fh.writelines(f"{s}\tconcept {i}\n" for i, s in enumerate(ids))
     with open(os.path.join(args.outdir, "images.tsv"), "w") as fh:
-        for synset in sorted(ids):
+        for synset in ids:
             for j in range(counts[synset]):
                 fh.write(f"{synset}_img{j:05d}\t{synset}\n")
 
     total = sum(counts.values())
-    print(f"wrote {args.outdir}: {n} synsets, {len(edges)} edges, {total} images")
+    print(f"wrote {args.outdir}: {len(ids)} synsets, {len(edges)} edges, {total} images")
 
 
 if __name__ == "__main__":

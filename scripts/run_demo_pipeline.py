@@ -10,7 +10,6 @@ fusion.
 """
 
 import argparse
-import random
 
 import numpy as np
 
@@ -31,32 +30,11 @@ from hierkit import (
     vlad_encode,
 )
 from hierkit.topdown import top_down_pipeline
-
-
-def synthetic_taxonomy(seed: int, n: int = 400):
-    rng = random.Random(seed)
-    ids = [f"n{i:08d}" for i in range(n)]
-    rng.shuffle(ids)
-    edges = []
-    for i in range(1, n):
-        parent = ids[i - 1] if rng.random() < 0.25 else ids[rng.randrange(0, i)]
-        edges.append((parent, ids[i]))
-    counts = {}
-    for node_id in ids:
-        roll = rng.random()
-        if roll < 0.25:
-            counts[node_id] = 0
-        elif roll < 0.40:
-            counts[node_id] = 1
-        elif roll < 0.92:
-            counts[node_id] = rng.randint(2, 400)
-        else:
-            counts[node_id] = rng.randint(2_000, 6_000)
-    return build_taxonomy(edges, counts)
+from make_toy_metadata import synthetic_hierarchy
 
 
 def reorg_report(seed: int) -> None:
-    taxonomy = synthetic_taxonomy(seed)
+    taxonomy = build_taxonomy(*synthetic_hierarchy(seed))
     report = stats(taxonomy)
     print(
         f"hierarchy: {report.class_count} classes, "

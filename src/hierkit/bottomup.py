@@ -138,17 +138,13 @@ def _promote(out: Taxonomy, t_p: int) -> None:
     the floor while absorbing promoted children keeps its images, and one
     that stays small passes everything further up. After the pass every
     surviving non-root node holds at least t_p images; the root may stay
-    below the floor and is dealt with when the label map is built.
+    below the floor and is dealt with when the label map is built. Order
+    within a depth is free: a promotion changes only the parent above.
     """
     nodes = out.nodes
-    depths = out.depths()
-    order = sorted(
-        (node_id for node_id in nodes if node_id != out.root),
-        key=lambda n: (-depths[n], n),
-    )
-    for node_id in order:
+    for node_id in reversed(out.depths()):
         node = nodes[node_id]
-        if node.direct_count >= t_p:
+        if node_id == out.root or node.direct_count >= t_p:
             continue
         parent = nodes[node.parent]
         parent.direct_count += node.direct_count

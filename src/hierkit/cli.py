@@ -179,10 +179,10 @@ def _cmd_reorg_topdown(ns, prov: str) -> int:
     _apply_preset(ns, {"tt": "--tt", "budget": "--budget"})
     taxonomy, _ = _load_taxonomy(ns)
     config = TopDownConfig(t_t=ns.tt, budget=ns.budget)
-    label_map, result = top_down_pipeline(taxonomy, config)
+    label_map, warnings = top_down_pipeline(taxonomy, config)
     label_map.provenance = f"{prov} | {label_map.provenance}"
     atomic_write_text(ns.out, write_label_map(label_map))
-    for warning in result.warnings:
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"classes={len(label_map.classes)}", file=sys.stderr)
     return 0
@@ -299,8 +299,7 @@ def _cmd_score(ns, prov: str) -> int:
         raise ContractViolation(
             "gram-rows columns do not match the model's training items"
         )
-    # one product per row: a batched rows @ coef may round differently
-    scores = [float(svm_score(model, row)[0]) for row in rows]
+    scores = svm_score(model, rows).tolist()
     atomic_write_text(
         ns.out, write_scores_csv(list(zip(row_ids, scores)), header=prov)
     )

@@ -145,11 +145,6 @@ def read_frames_csv(text: str) -> np.ndarray:
     return _float_rows(text, 0, "frame")[1]
 
 
-def write_frames_csv(frames: np.ndarray) -> str:
-    arr = np.asarray(frames, dtype=np.float64)
-    return "\n".join(map(_row_text, arr)) + "\n"
-
-
 def read_frames_bin(data: bytes) -> np.ndarray:
     if len(data) < 8:
         raise ParseError("binary frame file shorter than its header")
@@ -163,12 +158,6 @@ def read_frames_bin(data: bytes) -> np.ndarray:
         raise ParseError("binary frame file declares an empty matrix")
     flat = np.frombuffer(data, dtype="<f4", offset=8)
     return flat.reshape(count, dim).astype(np.float64)
-
-
-def write_frames_bin(frames: np.ndarray) -> bytes:
-    arr = np.asarray(frames, dtype=np.float64)
-    header = struct.pack("<II", arr.shape[0], arr.shape[1])
-    return header + arr.astype("<f4").tobytes(order="C")
 
 
 def read_frames_file(path: str, fmt_name: str | None = None) -> np.ndarray:
@@ -301,6 +290,8 @@ def read_labels_csv(text: str) -> dict[str, int]:
                 f"expected 'item_id,label' with label 0 or 1, got {raw!r}",
                 line=lineno,
             )
+        if tokens[0] in out:
+            raise ParseError(f"duplicate item id {tokens[0]!r}", line=lineno)
         out[tokens[0]] = int(tokens[1])
     if not out:
         raise ParseError("no label rows found")

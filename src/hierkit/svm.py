@@ -152,14 +152,17 @@ def chi2_kernel(x, y=None, *,
     return np.exp(-gamma * dists), gamma
 
 
-def _violating_sets(y: np.ndarray, alpha: np.ndarray,
-                    C: float) -> tuple[np.ndarray, np.ndarray]:
-    """The "up" and "down" index masks of the maximal violating pair: items
-    whose alpha_i y_i can still grow, and those whose alpha_i y_i can
-    still shrink."""
+def _violating_pair(y: np.ndarray, f0: np.ndarray, alpha: np.ndarray,
+                    C: float) -> tuple[int, int, float]:
+    """The maximal violating pair and its gap m - M: i maximizes y - f0
+    where alpha_i y_i can still grow, j minimizes it where alpha_j y_j can
+    still shrink (first index on ties)."""
+    neg_e = y - f0
     up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
     down = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-    return up, down
+    i = int(np.flatnonzero(up)[np.argmax(neg_e[up])])
+    j = int(np.flatnonzero(down)[np.argmin(neg_e[down])])
+    return i, j, float(neg_e[i] - neg_e[j])
 
 
 def train_kernel_svm(gram, labels, C: float,
@@ -170,7 +173,9 @@ def train_kernel_svm(gram, labels, C: float,
     solves the two-variable subproblem analytically, stopping when the
     violation gap falls under ``KKT_TOL``. A fit that stops with the gap
     still at or above ``KKT_TOL`` (``MAX_PAIR_UPDATES`` pair updates ran out,
-    or the pair's feasible step vanished) warns with a ``RuntimeWarning``.
+    the pair's feasible interval is empty, or an update changed neither
+    alpha) warns with a ``RuntimeWarning``. When alpha_j is clipped to a
+    bound that comes from alpha_i's box, alpha_i is set exactly to 0 or C.
     The box constraint 0 <= alpha <= C holds up to rounding: a pair update
     can overshoot it by about 1e-14, which ``io.ALPHA_SLACK`` tolerates when
     a model is read back.
@@ -198,14 +203,9 @@ def train_kernel_svm(gram, labels, C: float,
     f0 = np.zeros(n)
 
     for _ in range(MAX_PAIR_UPDATES):
-        neg_e = y - f0  # -E0_t = y_t - f0_t
-        up, down = _violating_sets(y, alpha, C)
-        m_val = np.max(neg_e[up])
-        big_m = np.min(neg_e[down])
-        if m_val - big_m < KKT_TOL:
+        i, j, gap = _violating_pair(y, f0, alpha, C)
+        if gap < KKT_TOL:
             break
-        i = int(np.flatnonzero(up)[np.argmax(neg_e[up])])
-        j = int(np.flatnonzero(down)[np.argmin(neg_e[down])])
 
         # analytic two-variable step (Platt), biasless errors E0 = f0 - y
         if y[i] != y[j]:
@@ -221,43 +221,51 @@ def train_kernel_svm(gram, labels, C: float,
         aj_old, ai_old = alpha[j], alpha[i]
         aj = aj_old + y[j] * ((f0[i] - y[i]) - (f0[j] - y[j])) / eta
         aj = min(high, max(low, aj))
-        ai = ai_old + y[i] * y[j] * (aj_old - aj)
+        # a bound inside (0, C) is where alpha_i reaches 0 or C; put it
+        # there exactly, or its rounding residue keeps i violating and the
+        # same pair is picked again with a step below one ulp
+        if aj == low and low > 0.0:
+            ai = 0.0 if y[i] != y[j] else C
+        elif aj == high and high < C:
+            ai = C if y[i] != y[j] else 0.0
+        else:
+            ai = ai_old + y[i] * y[j] * (aj_old - aj)
+        if ai == ai_old and aj == aj_old:
+            break
         alpha[i], alpha[j] = ai, aj
         f0 += (ai - ai_old) * y[i] * K[i] + (aj - aj_old) * y[j] * K[j]
 
-    neg_e = y - f0
-    up, down = _violating_sets(y, alpha, C)
-    gap = float(np.max(neg_e[up]) - np.min(neg_e[down]))
+    i, j, gap = _violating_pair(y, f0, alpha, C)
     if not gap < KKT_TOL:
         warnings.warn(
             f"train_kernel_svm: not converged, KKT gap {gap:.3g} >= tol "
             f"{KKT_TOL:g} (max_updates={MAX_PAIR_UPDATES})",
             RuntimeWarning,
         )
+    neg_e = y - f0
     free = (alpha > 1e-8) & (alpha < C - 1e-8)
     if np.any(free):
         bias = float(np.mean(neg_e[free]))
     else:
-        bias = float((np.max(neg_e[up]) + np.min(neg_e[down])) / 2.0)
+        bias = float((neg_e[i] + neg_e[j]) / 2.0)
     return SvmModel(alpha=alpha, labels=y, bias=bias, C=C, train_ids=train_ids)
 
 
 def kkt_violation(model: SvmModel, gram) -> float:
     """Maximal violating-pair gap m - M; at most ``KKT_TOL`` after training."""
     K = _as_matrix(gram, "gram")
-    y = model.labels
     f0 = K @ model.coef
-    neg_e = y - f0
-    up, down = _violating_sets(y, model.alpha, model.C)
-    return float(np.max(neg_e[up]) - np.min(neg_e[down]))
+    return _violating_pair(model.labels, f0, model.alpha, model.C)[2]
 
 
 def svm_score(model: SvmModel, gram_rows) -> np.ndarray:
-    """Decision values: score_j = sum_i alpha_i y_i K(test_j, train_i) + b."""
+    """Decision values: score_j = sum_i alpha_i y_i K(test_j, train_i) + b,
+    one product per row: a batched ``rows @ coef`` may round differently."""
     rows = _as_matrix(gram_rows, "gram_rows")
     if rows.shape[1] != model.alpha.shape[0]:
         raise ContractViolation(
             f"gram_rows has {rows.shape[1]} columns, model expects "
             f"{model.alpha.shape[0]}"
         )
-    return rows @ model.coef + model.bias
+    coef = model.coef
+    return np.array([row @ coef for row in rows]) + model.bias

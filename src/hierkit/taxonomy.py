@@ -42,7 +42,7 @@ class Taxonomy:
         return sum(n.direct_count for n in self.nodes.values())
 
     def depths(self) -> dict[SynsetId, int]:
-        """Depth from root for every node, computed by breadth-first walk."""
+        """Depth of every node, in breadth-first order: parents first."""
         out = {self.root: 0}
         queue = deque([self.root])
         while queue:
@@ -51,17 +51,6 @@ class Taxonomy:
             for child in self.nodes[cur].children:
                 out[child] = d
                 queue.append(child)
-        return out
-
-    def postorder(self) -> list[SynsetId]:
-        """Children-before-parents ordering, iterative to spare the stack."""
-        out: list[SynsetId] = []
-        stack: list[SynsetId] = [self.root]
-        while stack:
-            cur = stack.pop()
-            out.append(cur)
-            stack.extend(self.nodes[cur].children)
-        out.reverse()
         return out
 
 
@@ -131,23 +120,6 @@ def parse_names(text: str) -> dict[SynsetId, str]:
             )
         names[synset.strip()] = name.strip()
     return names
-
-
-def serialize_isa_edges(taxonomy: Taxonomy) -> str:
-    """Inverse of parse_isa_edges for the kept tree edges."""
-    lines = []
-    for node_id in sorted(taxonomy.nodes):
-        for child in taxonomy.nodes[node_id].children:
-            lines.append(f"{node_id} {child}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def serialize_counts(taxonomy: Taxonomy) -> str:
-    lines = [
-        f"{node_id} {taxonomy.nodes[node_id].direct_count}"
-        for node_id in sorted(taxonomy.nodes)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _find_cycle_edge(
@@ -275,9 +247,9 @@ def build_taxonomy(
 
 
 def subtree_counts(taxonomy: Taxonomy) -> dict[SynsetId, int]:
-    """Subtree-inclusive image count for every node, one post-order pass."""
+    """Subtree-inclusive image count for every node, deepest nodes first."""
     out: dict[SynsetId, int] = {}
-    for node_id in taxonomy.postorder():
+    for node_id in reversed(taxonomy.depths()):
         node = taxonomy.nodes[node_id]
         out[node_id] = node.direct_count + sum(
             out[c] for c in node.children

@@ -13,7 +13,7 @@ captures them first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ContractViolation
 from .labelmap import LabelMap, from_members
@@ -35,7 +35,6 @@ class TopDownConfig:
 @dataclass
 class SelectionResult:
     selected: list[SynsetId]
-    warnings: list[str] = field(default_factory=list)
 
 
 def top_down_select(
@@ -83,15 +82,11 @@ def assign_to_selected(
         if node_id not in taxonomy.nodes:
             raise ContractViolation(f"unknown synset id: {node_id!r}")
 
-    # single top-down sweep carrying the nearest selected ancestor-or-self
+    # breadth-first, so a node's parent is settled first (the root has None)
     nearest: dict[SynsetId, SynsetId | None] = {}
-    stack: list[tuple[SynsetId, SynsetId | None]] = [(taxonomy.root, None)]
-    while stack:
-        node_id, inherited = stack.pop()
-        owner = node_id if node_id in selected_set else inherited
-        nearest[node_id] = owner
-        for child in taxonomy.nodes[node_id].children:
-            stack.append((child, owner))
+    for node_id in taxonomy.depths():
+        nearest[node_id] = (node_id if node_id in selected_set
+                            else nearest.get(taxonomy.nodes[node_id].parent))
 
     members: dict[SynsetId, set[SynsetId]] = {s: set() for s in selected_set}
     unassigned: list[tuple[SynsetId, int]] = []
@@ -118,11 +113,11 @@ def assign_to_selected(
 
 def top_down_pipeline(
     taxonomy: Taxonomy, config: TopDownConfig
-) -> tuple[LabelMap, SelectionResult]:
-    """Selection followed by nearest-ancestor image assignment."""
-    result = top_down_select(taxonomy, config)
+) -> tuple[LabelMap, list[str]]:
+    """Selection, then assignment: the label map and short-class warnings."""
+    selected = top_down_select(taxonomy, config).selected
     provenance = f"topdown t_t={config.t_t} budget={config.budget}"
-    label_map, _, result.warnings = assign_to_selected(
-        taxonomy, result.selected, t_t=config.t_t, provenance=provenance
+    label_map, _, warnings = assign_to_selected(
+        taxonomy, selected, t_t=config.t_t, provenance=provenance
     )
-    return label_map, result
+    return label_map, warnings

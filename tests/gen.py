@@ -1,8 +1,12 @@
-"""Seeded generators for random test inputs."""
+"""Seeded generators for random test inputs, and writers for the input
+files that hierkit reads but never writes."""
 
 from __future__ import annotations
 
 import random
+import struct
+
+import numpy as np
 
 from hierkit.taxonomy import Taxonomy, build_taxonomy
 
@@ -49,3 +53,28 @@ def random_topdown_params(seed: int) -> tuple[int, int]:
     t_t = rng.choice([0, 1, 5, 20, 100, 1_000, 20_000])
     budget = rng.choice([1, 2, 5, 20, 100, 10_000])
     return t_t, budget
+
+
+def serialize_isa_edges(taxonomy: Taxonomy) -> str:
+    """Inverse of ``parse_isa_edges`` for the kept tree edges."""
+    lines = []
+    for node_id in sorted(taxonomy.nodes):
+        for child in taxonomy.nodes[node_id].children:
+            lines.append(f"{node_id} {child}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def serialize_counts(taxonomy: Taxonomy) -> str:
+    lines = [
+        f"{node_id} {taxonomy.nodes[node_id].direct_count}"
+        for node_id in sorted(taxonomy.nodes)
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def write_frames_bin(frames: np.ndarray) -> bytes:
+    """A binary frame file: ``u32 frame_count, u32 dim``, then row-major
+    little-endian f32."""
+    arr = np.asarray(frames, dtype=np.float64)
+    header = struct.pack("<II", arr.shape[0], arr.shape[1])
+    return header + arr.astype("<f4").tobytes(order="C")

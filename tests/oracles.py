@@ -616,6 +616,8 @@ def oracle_read_labels_csv(text: str) -> dict[str, int]:
                 f"expected 'item_id,label' with label 0 or 1, got {raw!r}",
                 line=lineno,
             )
+        if tokens[0] in out:
+            raise ParseError(f"duplicate item id {tokens[0]!r}", line=lineno)
         out[tokens[0]] = int(tokens[1])
     if not out:
         raise ParseError("no label rows found")

@@ -24,7 +24,6 @@ from hierkit.evaluation import (
     late_fuse,
     mean_average_precision,
 )
-from hierkit.io import write_frames_csv
 from hierkit.labelmap import LabelMap, write_label_map
 from hierkit.svm import chi2_kernel, kkt_violation, svm_score, train_kernel_svm
 from hierkit.taxonomy import (
@@ -43,6 +42,7 @@ from oracles import (
     oracle_bottom_up,
     oracle_svm_dual,
     oracle_top_down_select,
+    oracle_write_frames_csv,
 )
 
 N_TAXONOMIES = 1000
@@ -328,7 +328,8 @@ def test_criterion_8_cli_determinism(tmp_path):
     for i in range(4):
         alphas = [12, 2, 1] if i < 2 else [1, 2, 12]
         path = tmp_path / f"vid{i}.csv"
-        path.write_text(write_frames_csv(rng.dirichlet(alphas, size=10)))
+        frames = rng.dirichlet(alphas, size=10)
+        path.write_text(oracle_write_frames_csv(frames))
         frame_paths.append(str(path))
     labels = tmp_path / "labels.csv"
     labels.write_text("vid0,1\nvid1,1\nvid2,0\nvid3,0\n")

@@ -19,8 +19,6 @@ from hierkit.io import (
     fmt,
     read_vectors_csv,
     write_codebook,
-    write_frames_bin,
-    write_frames_csv,
     write_gram_csv,
     write_model,
     write_scores_csv,
@@ -29,10 +27,12 @@ from hierkit.bottomup import read_plan
 from hierkit.labelmap import read_label_map
 from hierkit.svm import SvmModel, svm_score
 
+from gen import write_frames_bin
 from oracles import (
     oracle_chi2_distances,
     oracle_chi2_gamma,
     oracle_export_trainlist,
+    oracle_write_frames_csv,
 )
 
 LABELMAP_HEADER = "# hierkit-labelmap v1 p\n"
@@ -65,7 +65,7 @@ def videos(tmp_path):
         alphas = [16, 3, 1] if positive else [1, 3, 16]
         frames = rng.dirichlet(alphas, size=12)
         path = tmp_path / f"vid{i}.csv"
-        path.write_text(write_frames_csv(frames))
+        path.write_text(oracle_write_frames_csv(frames))
         paths.append(str(path))
         labels[f"vid{i}"] = 1 if positive else 0
     labels_path = tmp_path / "labels.csv"
@@ -762,8 +762,8 @@ class TestModelCommands:
         assert "map=1.0" in text
 
     def test_score_is_one_product_per_row(self, tmp_path):
-        """Score bytes are pinned to one ``svm_score`` call per row, on a
-        Gram whose batched ``rows @ coef`` rounds differently."""
+        """Score bytes and ``svm_score`` are pinned to one product per row,
+        on a Gram whose batched ``rows @ coef`` rounds differently."""
         for seed in range(20):
             rng = np.random.default_rng(seed)
             n, m = int(rng.integers(20, 60)), int(rng.integers(5, 30))
@@ -771,12 +771,13 @@ class TestModelCommands:
             labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
             model = SvmModel(alpha=rng.random(n), labels=labels, bias=0.1,
                              C=1.0, train_ids=[f"t{i}" for i in range(n)])
-            per_row = [float(svm_score(model, row)[0]) for row in rows]
-            if per_row != svm_score(model, rows).tolist():
+            per_row = [float(row @ model.coef + model.bias) for row in rows]
+            if per_row != (rows @ model.coef + model.bias).tolist():
                 break
         else:
             raise AssertionError("batched and per-row products agree on "
                                  "every Gram tried")
+        assert svm_score(model, rows).tolist() == per_row
         model_path = tmp_path / "model.bin"
         model_path.write_bytes(write_model(model))
         gram = tmp_path / "rows.csv"
@@ -991,12 +992,30 @@ class TestExitCodes:
         assert code == 3
         assert not model.exists()
 
+    def test_repeated_label_id_is_parse_error(self, videos, tmp_path, capsys):
+        pooled = tmp_path / "pooled.csv"
+        run("pool", "--frames", *videos["paths"], "--out", str(pooled))
+        gram = tmp_path / "gram.csv"
+        run("kernel", "--x", str(pooled), "--out", str(gram))
+        labels = tmp_path / "repeated.csv"
+        labels.write_text(
+            "".join(f"vid{i},{int(i < 3)}\n" for i in range(6)) + "vid0,0\n"
+        )
+        model = tmp_path / "model.bin"
+        code = run(
+            "train-svm", "--gram", str(gram), "--labels", str(labels),
+            "--out", str(model),
+        )
+        assert code == 2
+        assert "duplicate item id 'vid0'" in capsys.readouterr().err
+        assert not model.exists()
+
 
     @pytest.mark.parametrize("subcommand", ["pool", "vlad"])
     def test_mixed_frame_dims_is_contract_violation(self, subcommand, videos,
                                                     tmp_path, capsys):
         odd = tmp_path / "odd.csv"
-        odd.write_text(write_frames_csv(np.full((4, 5), 0.2)))
+        odd.write_text(oracle_write_frames_csv(np.full((4, 5), 0.2)))
         extra = ["--k", "2"] if subcommand == "vlad" else []
         out = tmp_path / "out.csv"
         code = run(subcommand, "--frames", *videos["paths"], str(odd),

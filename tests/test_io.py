@@ -3,6 +3,7 @@
 import ast
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -25,8 +26,6 @@ from hierkit.io import (
     read_scores_csv,
     read_vectors_csv,
     write_codebook,
-    write_frames_bin,
-    write_frames_csv,
     write_gram_csv,
     write_model,
     write_scores_csv,
@@ -34,15 +33,14 @@ from hierkit.io import (
 )
 from hierkit.labelmap import from_members, read_label_map, write_label_map
 from hierkit.svm import SvmModel
-from hierkit.taxonomy import (
-    parse_counts,
-    parse_isa_edges,
-    parse_names,
+from hierkit.taxonomy import parse_counts, parse_isa_edges, parse_names
+
+from gen import (
+    random_taxonomy,
     serialize_counts,
     serialize_isa_edges,
+    write_frames_bin,
 )
-
-from gen import random_taxonomy
 from oracles import (
     oracle_parse_counts,
     oracle_parse_isa_edges,
@@ -64,7 +62,7 @@ class TestFrames:
     def test_csv_roundtrip(self):
         frames = np.array([[1.5, -2.25], [0.0, 3.125]])
         np.testing.assert_array_equal(
-            read_frames_csv(write_frames_csv(frames)), frames
+            read_frames_csv(oracle_write_frames_csv(frames)), frames
         )
 
     def test_csv_ragged_rejected(self):
@@ -145,6 +143,10 @@ class TestScoresAndLabels:
     def test_labels_reject_other_values(self):
         with pytest.raises(ParseError):
             read_labels_csv("a,2\n")
+
+    def test_labels_reject_repeated_id(self):
+        with pytest.raises(ParseError, match="line 2: duplicate item id 'a'"):
+            read_labels_csv("a,1\na,0\n")
 
 
 _MODEL = SvmModel(
@@ -426,7 +428,7 @@ def _written_text(draw, kind):
     ids = draw(st.lists(_ids, min_size=n, max_size=n))
     header = draw(st.one_of(st.none(), st.just("hierkit 0.1.0 test")))
     if kind == "frames":
-        return write_frames_csv(matrix)
+        return oracle_write_frames_csv(matrix)
     if kind == "vectors":
         return write_vectors_csv(ids, matrix, header=header)
     if kind == "gram":
@@ -587,6 +589,49 @@ def test_only_io_loops_over_lines():
     assert loops == []
 
 
+def _names_used(path):
+    """Every name a module uses: names, attributes and imported names."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def test_no_public_name_serves_only_tests():
+    """Every public top-level function or class in the package is used by
+    the package itself (``__init__`` re-exports aside), the scripts, the
+    benchmark, or the console entry point; tests do not count."""
+    package = os.path.dirname(hierkit.__file__)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    modules = sorted(n for n in os.listdir(package) if n.endswith(".py"))
+    users = [os.path.join(package, n) for n in modules if n != "__init__.py"]
+    for folder in ("scripts", "perfbench"):
+        users.extend(os.path.join(repo, folder, n)
+                     for n in sorted(os.listdir(os.path.join(repo, folder)))
+                     if n.endswith(".py"))
+    used = set().union(*map(_names_used, users))
+    with open(os.path.join(repo, "pyproject.toml"), encoding="utf-8") as handle:
+        # entry points: ``name = "package.module:function"``
+        used.update(re.findall(r'"[\w.]+:(\w+)"', handle.read()))
+    unused = []
+    for name in modules:
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        unused.extend(
+            f"{name}:{node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used
+        )
+    assert unused == []
+
+
 class TestShardedVectorReads:
     """Forced onto several processes, the vector reader returns what the
     serial reader and the oracle return, or raises the same ParseError."""
@@ -638,7 +683,6 @@ class TestWritersMatchOracle:
         ids = [f"v{i}" for i in range(n)]
         cols = [f"c{j}" for j in range(d)]
         header = data.draw(st.one_of(st.none(), st.just("hierkit test")))
-        assert write_frames_csv(matrix) == oracle_write_frames_csv(matrix)
         assert (write_vectors_csv(ids, matrix, header=header)
                 == oracle_write_vectors_csv(ids, matrix, header=header))
         assert (write_gram_csv(ids, cols, matrix, header=header)

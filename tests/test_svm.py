@@ -1,5 +1,7 @@
 """Chi-squared kernel and dual SVM training against a QP oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +22,18 @@ from hierkit.svm import (
 )
 
 from oracles import oracle_chi2_distances, oracle_chi2_gamma, oracle_svm_dual
+
+
+def stall_set(n, seed):
+    """Chi2 Gram and labels of n sparse 100-bin histograms, the first 20
+    positive with 5% of their mass added over the first 20 bins."""
+    rng = np.random.default_rng(seed)
+    x = rng.gamma(0.3, size=(n, 100))
+    x[:20, :20] += 0.05 * x[:20].sum(axis=1, keepdims=True) / 20
+    x /= x.sum(axis=1, keepdims=True)
+    y = -np.ones(n)
+    y[:20] = 1.0
+    return chi2_kernel(x)[0], y
 
 
 def toy_set(seed=0, n_per=10):
@@ -314,6 +328,46 @@ class TestTrainSvm:
             model = train_kernel_svm(gram, y, C=100.0)
         assert kkt_violation(model, gram) >= 1e-3
 
+    @pytest.mark.parametrize("n,seed", [(1000, 4), (200, 22)])
+    def test_clipped_pair_converges_without_rounding_stall(self, n, seed):
+        """alpha_j clipped at a bound set by alpha_i puts alpha_i exactly on
+        its own bound; left a few ulps off it, i stays violating and the
+        same pair comes back with steps below one ulp until the update
+        budget runs out."""
+        gram, y = stall_set(n, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_kernel_svm(gram, y, C=100.0)
+        assert kkt_violation(model, gram) <= svm.KKT_TOL
+
+    def test_stall_set_matches_qp_oracle_scores(self):
+        # the QP oracle needs minutes at n=1000, about a second at n=200
+        gram, y = stall_set(200, 22)
+        model = train_kernel_svm(gram, y, C=100.0)
+        alpha_star, bias_star = oracle_svm_dual(gram, y, C=100.0)
+        oracle_scores = gram @ (alpha_star * y) + bias_star
+        np.testing.assert_allclose(
+            svm_score(model, gram), oracle_scores, atol=1e-3
+        )
+
+    def test_update_that_moves_nothing_stops_with_warning(self, monkeypatch):
+        """With a zero tolerance the fit reaches pairs whose step is below
+        one ulp; the first update that changes neither alpha ends it."""
+        x, y = toy_set()
+        gram, _ = chi2_kernel(x, gamma=1.0)
+        picks = []
+        real_pair = svm._violating_pair
+
+        def counted(*args):
+            picks.append(1)
+            return real_pair(*args)
+
+        monkeypatch.setattr(svm, "_violating_pair", counted)
+        monkeypatch.setattr(svm, "KKT_TOL", 0.0)
+        with pytest.warns(RuntimeWarning, match="not converged, KKT gap"):
+            train_kernel_svm(gram, y, C=100.0)
+        assert len(picks) < 100
+
     @pytest.mark.parametrize("C", [float("inf"), float("nan"), 0.0, -1.0])
     def test_c_must_be_finite_and_positive(self, C):
         x, y = toy_set()
@@ -344,6 +398,20 @@ class TestScore:
         )
         scores = svm_score(model, np.full((3, 4), 0.7))
         np.testing.assert_array_equal(scores, [0.25, 0.25, 0.25])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 400), st.integers(0, 2**32 - 1))
+    def test_batch_gives_the_bits_of_one_product_per_row(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((m, n))
+        model = SvmModel(
+            alpha=rng.random(n),
+            labels=np.where(rng.random(n) < 0.5, 1.0, -1.0),
+            bias=float(rng.normal()),
+            C=1.0,
+        )
+        per_row = np.array([row @ model.coef + model.bias for row in rows])
+        assert svm_score(model, rows).tobytes() == per_row.tobytes()
 
     def test_column_mismatch_rejected(self):
         model = SvmModel(

@@ -12,13 +12,11 @@ from hierkit.taxonomy import (
     parse_counts,
     parse_isa_edges,
     parse_names,
-    serialize_counts,
-    serialize_isa_edges,
     stats,
     subtree_counts,
 )
 
-from gen import random_taxonomy
+from gen import random_taxonomy, serialize_counts, serialize_isa_edges
 from oracles import oracle_build_taxonomy
 
 

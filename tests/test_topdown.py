@@ -186,9 +186,9 @@ class TestPipeline:
 
     def test_warnings_surface_in_result(self):
         t = sample_tree()
-        _, result = top_down_pipeline(t, TopDownConfig(t_t=5, budget=5))
+        _, warnings = top_down_pipeline(t, TopDownConfig(t_t=5, budget=5))
         # B1 gets selected at layer 2 and takes B2's images; B keeps 1 < 5
-        assert any("class B:" in w for w in result.warnings)
+        assert any("class B:" in w for w in warnings)
 
     def test_config_validation(self):
         with pytest.raises(ContractViolation):
