@@ -22,10 +22,10 @@ KMEANS_TOL = 1e-6
 # Lloyd's objective never rises; a rise beyond this fraction of it is more
 # than the rounding of a sum of n float64 costs, and is reported.
 KMEANS_RISE_TOL = 1e-9
-# Elements in one row block's difference tensor in _pairwise_sq_dists
-# (512 KiB of float64). Measured on a 2-vCPU Xeon over n x k x d from
-# 400x64x128 to 4800x64x128 and 2000x64x1000: 2**15 and 2**16 were
-# fastest and within noise of each other; 2**12 and 2**20 were slower.
+# Elements in the one scratch block each _pairwise_sq_dists call reuses
+# for its row blocks (512 KiB of float64). Measured on a 2-vCPU Xeon over
+# n x k x d from 400x64x128 to 4800x64x128 and 2000x64x1000: 2**15 and
+# 2**16 were fastest and within noise of each other; 2**12 and 2**20 slower.
 KMEANS_BLOCK = 1 << 16
 
 
@@ -66,9 +66,15 @@ def as_frame_matrix(frames) -> np.ndarray:
 
 
 def _canonical_rows(arr: np.ndarray) -> np.ndarray:
-    """Sort rows lexicographically so reductions ignore frame order."""
-    order = np.lexsort(arr.T[::-1])
-    return arr[order]
+    """Sort rows lexicographically so reductions ignore frame order.
+
+    Without a tie in column 0 its one stable sort fixes the lexicographic
+    order; a tie (0.0 and -0.0 tie too) sorts on every column.
+    """
+    out = arr[np.argsort(arr[:, 0], kind="stable")]
+    if np.any(out[1:, 0] == out[:-1, 0]):
+        out = arr[np.lexsort(arr.T[::-1])]
+    return out
 
 
 def l1_normalize(vector) -> np.ndarray:
@@ -179,13 +185,17 @@ def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, (len(a), len(b)), in row blocks.
 
     Each block's (rows, len(b), d) difference tensor holds at most
-    KMEANS_BLOCK elements, or one row of a, so scratch memory does not grow
-    with len(a). Every element is summed exactly as over the whole tensor.
+    KMEANS_BLOCK elements, or one row of a, in one scratch block the call
+    reuses, so scratch memory does not grow with len(a). Every element is
+    summed exactly as over the whole tensor.
     """
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    step = max(1, KMEANS_BLOCK // (b.shape[0] * b.shape[1]))
-    for i in range(0, a.shape[0], step):
-        diff = a[i:i + step, None, :] - b[None, :, :]
+    n, k, d = a.shape[0], b.shape[0], b.shape[1]
+    out = np.empty((n, k), dtype=np.float64)
+    step = max(1, KMEANS_BLOCK // (k * d))
+    scratch = np.empty((min(step, n), k, d), dtype=np.float64)
+    for i in range(0, n, step):
+        diff = scratch[:min(step, n - i)]
+        np.subtract(a[i:i + step, None, :], b[None, :, :], out=diff)
         np.einsum("ijk,ijk->ij", diff, diff, out=out[i:i + step])
     return out
 

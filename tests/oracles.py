@@ -235,6 +235,16 @@ def oracle_pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def oracle_canonical_rows(arr: np.ndarray) -> np.ndarray:
+    """Rows in lexicographic order.
+
+    The library's original canonical order, kept verbatim: a stable sort
+    on every column, last column first.
+    """
+    order = np.lexsort(arr.T[::-1])
+    return arr[order]
+
+
 def oracle_chi2_distances(x, y=None, epsilon: float = 1e-10) -> np.ndarray:
     """Chi-squared distances one full row at a time, both triangles.
 
@@ -296,6 +306,30 @@ def oracle_svm_dual(gram: np.ndarray, labels: np.ndarray, C: float):
         neg_e = y - f0
         bias = float((np.max(neg_e[up]) + np.min(neg_e[down])) / 2.0)
     return alpha, bias
+
+
+def oracle_duality_gap(gram: np.ndarray, labels: np.ndarray,
+                       alpha: np.ndarray, C: float) -> float:
+    """Primal minus dual objective of a dual solution, at the best bias.
+
+    The primal is 1/2 |w|^2 + C * sum of hinge losses, with w taken from
+    alpha; the dual is sum(alpha) - 1/2 |w|^2. The primal is convex and
+    piecewise linear in the bias, with its kinks at b = y_i - f0_i, so its
+    minimum over all biases is the smallest value at those kinks. For a
+    feasible alpha the result bounds alpha's dual shortfall from the
+    optimum, and is never negative (weak duality) up to rounding.
+    """
+    K = np.asarray(gram, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    coef = alpha * y
+    f0 = K @ coef
+    w_sq = float(coef @ f0)
+    kinks = y - f0
+    # margins[i, b]: 1 - y_i * (f0_i + kinks[b])
+    margins = 1.0 - y[:, None] * (f0[:, None] + kinks[None, :])
+    primal = 0.5 * w_sq + C * np.maximum(margins, 0.0).sum(axis=0)
+    dual = float(alpha.sum()) - 0.5 * w_sq
+    return float(primal.min()) - dual
 
 
 # -- taxonomy and train list --------------------------------------------------

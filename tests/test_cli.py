@@ -1,5 +1,6 @@
 """CLI subcommands: happy paths, exit codes, determinism."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -664,6 +665,66 @@ class TestEncodingCommands:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+
+class TestEncodingGoldenBytes:
+    """``pool`` and ``vlad`` outputs keep their exact bytes whatever order
+    or arithmetic the encoders use inside. The frame set holds repeated
+    frames and a first column with ties, 0.0 against -0.0 among them. The
+    chain runs from the output directory with relative paths, so the
+    provenance lines hold no temporary path; a version bump changes them
+    and needs new digests."""
+
+    DIGESTS = {
+        "pool.csv":
+            "e88cfdf4308c4b5049c3f27ab961bf2572341f4799a3f3fdb247ea32b914c7b1",
+        "vlad.csv":
+            "e0371c46a95b91728d3b6ae01cd89c8deb349a13b4637fd72a8bd902de82185b",
+        "codebook.hkcb":
+            "a8517d1d8f343f94e9aa4b0e0116380a67c3a08ff17bd06c26e8b4232930ac43",
+        "vlad_reuse.csv":
+            "c7a165e97b4184103eaa6f3fa75983873e8d89265f952d3b7370e82ea30eceb7",
+    }
+
+    @staticmethod
+    def write_frame_set():
+        rng = np.random.default_rng(31)
+
+        def draw(n):
+            # magnitudes over six decades, so float64 sums of these float32
+            # values round and their order shows in the output bits
+            scale = 10.0 ** rng.uniform(-3, 3, size=(n, 5))
+            return (rng.normal(size=(n, 5)) * scale).astype(np.float32)
+
+        plain = draw(12)
+        dup = draw(7)[[0, 1, 2, 3, 1, 4, 5, 6, 0, 3, 5, 1]]  # repeats
+        tied = draw(30)
+        tied[:, 0] = rng.choice([0.5, -0.25, 0.0, -0.0, 1.0], size=30)
+        names = []
+        for name, frames in (("plain", plain), ("dup", dup), ("tied", tied)):
+            path = f"{name}.bin"
+            with open(path, "wb") as handle:
+                handle.write(write_frames_bin(frames))
+            names.append(path)
+        return names
+
+    def test_pool_and_vlad_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        frames = self.write_frame_set()
+        assert run("pool", "--frames", *frames, "--out", "pool.csv") == 0
+        assert run(
+            "vlad", "--frames", *frames, "--k", "4", "--seed", "0",
+            "--save-codebook", "codebook.hkcb", "--out", "vlad.csv",
+        ) == 0
+        assert run(
+            "vlad", "--frames", *frames, "--codebook", "codebook.hkcb",
+            "--out", "vlad_reuse.csv",
+        ) == 0
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert got == self.DIGESTS
 
 
 class TestModelCommands:

@@ -7,13 +7,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hierkit import encoding
 from hierkit.encoding import (
     KMEANS_BLOCK,
     Codebook,
+    _canonical_rows,
     _pairwise_sq_dists,
     average_pool,
     kmeans_fit,
@@ -23,7 +25,42 @@ from hierkit.encoding import (
 from hierkit.errors import ContractViolation
 from hierkit.io import read_codebook, write_codebook
 
-from oracles import oracle_pairwise_sq_dists, oracle_two_means
+from oracles import (
+    oracle_canonical_rows,
+    oracle_pairwise_sq_dists,
+    oracle_two_means,
+)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# few values: first columns tie, rows repeat, 0.0 and -0.0 both appear
+FEW_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+
+
+@st.composite
+def tie_free_matrices(draw):
+    """Finite matrices whose first column has no tie (0.0 ties -0.0)."""
+    first = draw(st.lists(FINITE, min_size=1, max_size=50, unique=True))
+    cols = draw(st.integers(1, 8))
+    rest = draw(arrays(np.float64, (len(first), cols - 1), elements=FINITE))
+    return np.column_stack([np.array(first), rest])
+
+
+class LexsortCalled(Exception):
+    pass
+
+
+def refuse_lexsort(*args, **kwargs):
+    raise LexsortCalled
+
+
+def frame_pair():
+    """Frames without a tie in the first column, and the same frames with
+    ties in it, 0.0 against -0.0 among them."""
+    frames = np.random.default_rng(12).normal(size=(40, 6))
+    tied = frames.copy()
+    tied[:, 0] = np.round(tied[:, 0])
+    tied[:2, 0] = [0.0, -0.0]
+    return frames, tied
 
 
 class TestL1Normalize:
@@ -79,6 +116,52 @@ class TestAveragePool:
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
             average_pool(np.zeros((0, 4)))
+
+
+class TestCanonicalRows:
+    @settings(max_examples=300)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 50), st.integers(1, 8)),
+            elements=FEW_VALUES,
+        )
+    )
+    # the only tie is 0.0 against -0.0: column 1 orders the rows
+    @example(np.array([[0.0, 1.0], [-0.0, 0.0]]))
+    def test_matches_lexsort_oracle_with_ties(self, frames):
+        assert (
+            _canonical_rows(frames).tobytes()
+            == oracle_canonical_rows(frames).tobytes()
+        )
+
+    @settings(max_examples=300)
+    @given(tie_free_matrices())
+    def test_matches_lexsort_oracle_without_ties(self, frames):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "lexsort", refuse_lexsort)
+            got = _canonical_rows(frames)
+        assert got.tobytes() == oracle_canonical_rows(frames).tobytes()
+
+    def test_tie_free_frames_never_reach_lexsort(self, monkeypatch):
+        frames, tied = frame_pair()
+        codebook = kmeans_fit(frames, k=4, seed=1)
+        monkeypatch.setattr(np, "lexsort", refuse_lexsort)
+        average_pool(frames)
+        vlad_encode(frames, codebook)
+        for encode in (average_pool, lambda f: vlad_encode(f, codebook)):
+            with pytest.raises(LexsortCalled):
+                encode(tied)
+
+    def test_oracle_order_gives_same_pool_and_vlad(self, monkeypatch):
+        frames, tied = frame_pair()
+        codebook = kmeans_fit(frames, k=4, seed=1)
+        both = [(average_pool(f), vlad_encode(f, codebook))
+                for f in (frames, tied)]
+        monkeypatch.setattr(encoding, "_canonical_rows", oracle_canonical_rows)
+        for f, (pooled, encoded) in zip((frames, tied), both):
+            assert average_pool(f).tobytes() == pooled.tobytes()
+            assert vlad_encode(f, codebook).tobytes() == encoded.tobytes()
 
 
 class TestPairwiseSqDists:

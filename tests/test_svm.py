@@ -21,7 +21,12 @@ from hierkit.svm import (
     train_kernel_svm,
 )
 
-from oracles import oracle_chi2_distances, oracle_chi2_gamma, oracle_svm_dual
+from oracles import (
+    oracle_chi2_distances,
+    oracle_chi2_gamma,
+    oracle_duality_gap,
+    oracle_svm_dual,
+)
 
 
 def stall_set(n, seed):
@@ -349,6 +354,42 @@ class TestTrainSvm:
         np.testing.assert_allclose(
             svm_score(model, gram), oracle_scores, atol=1e-3
         )
+
+    def test_stall_set_duality_gap_within_kkt_bound(self, monkeypatch):
+        """The primal-dual gap certifies the n=1000 fit, where the QP oracle
+        takes minutes.
+
+        Bound. Let g_i = y_i - f0_i, m = max g_i over the up set and
+        M = min g_i over the down set (``_violating_pair``); a converged
+        fit has m - M < KKT_TOL. With sum(alpha * y) = 0 the gap at bias b
+        is sum_i (C - alpha_i) max(0, t_i) + alpha_i max(0, -t_i), where
+        t_i = y_i (g_i - b). Take b = (m + M) / 2. A term with t_i > 0
+        needs alpha_i < C, which puts i in the up set when y_i = +1
+        (g_i <= m) and in the down set when y_i = -1 (g_i >= M), so
+        t_i <= (m - M) / 2; alpha_i > 0 bounds -t_i the same way. Hence
+        the gap at the best bias is at most
+        KKT_TOL / 2 * sum_i max(alpha_i, C - alpha_i) <= n C KKT_TOL / 2,
+        50 here. The converged fit sits near 0.92; a fit cut off at 200
+        pair updates (violation about 0.14) exceeds the bound.
+        """
+        C = 100.0
+        gram, y = stall_set(1000, 4)
+
+        def bound(model):
+            alpha = model.alpha
+            return svm.KKT_TOL / 2 * float(np.maximum(alpha, C - alpha).sum())
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_kernel_svm(gram, y, C=C)
+        assert abs(float(model.alpha @ y)) <= 1e-9
+        gap = oracle_duality_gap(gram, y, model.alpha, C)
+        assert -1e-9 <= gap <= bound(model)
+
+        monkeypatch.setattr(svm, "MAX_PAIR_UPDATES", 200)
+        with pytest.warns(RuntimeWarning, match="not converged"):
+            cut = train_kernel_svm(gram, y, C=C)
+        assert oracle_duality_gap(gram, y, cut.alpha, C) > bound(cut)
 
     def test_update_that_moves_nothing_stops_with_warning(self, monkeypatch):
         """With a zero tolerance the fit reaches pairs whose step is below
