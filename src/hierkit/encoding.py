@@ -5,6 +5,11 @@ over a seeded k-means codebook. Both treat the frame set as a multiset:
 rows are canonicalized (lexicographically sorted) before any floating-point
 reduction, so results are bitwise invariant under frame permutation and
 independent of the degree of parallelism upstream.
+
+Nearest centroids come from one matrix product, |a|^2 + |b|^2 - 2 a.b, and
+are confirmed by the exact blocked distances wherever rounding could decide
+them (see _screen); every distance an output reads is the exact one, so
+neither the BLAS nor its thread count changes an output bit.
 """
 
 from __future__ import annotations
@@ -22,10 +27,11 @@ KMEANS_TOL = 1e-6
 # Lloyd's objective never rises; a rise beyond this fraction of it is more
 # than the rounding of a sum of n float64 costs, and is reported.
 KMEANS_RISE_TOL = 1e-9
-# Elements in the one scratch block each _pairwise_sq_dists call reuses
-# for its row blocks (512 KiB of float64). Measured on a 2-vCPU Xeon over
-# n x k x d from 400x64x128 to 4800x64x128 and 2000x64x1000: 2**15 and
-# 2**16 were fastest and within noise of each other; 2**12 and 2**20 slower.
+# Elements in the one scratch block each _pairwise_sq_dists or
+# _assigned_sq_dists call reuses for its row blocks (512 KiB of float64).
+# Measured on a 2-vCPU Xeon over n x k x d from 400x64x128 to 4800x64x128
+# and 2000x64x1000: 2**15 and 2**16 were fastest and within noise of each
+# other; 2**12 and 2**20 slower.
 KMEANS_BLOCK = 1 << 16
 
 
@@ -55,9 +61,12 @@ def as_frame_matrix(frames) -> np.ndarray:
         raise ContractViolation(
             f"frame matrix must be non-empty 2-D, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    # min and max, unlike np.abs or np.isfinite, make no (n, d) temporary;
+    # a NaN or infinity reaches one of them
+    low, high = float(arr.min()), float(arr.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ContractViolation("frame matrix contains non-finite values")
-    peak = float(np.abs(arr).max())
+    peak = max(high, -low)
     if 4.0 * arr.size * peak * peak == math.inf:
         raise ContractViolation(
             f"frame value {peak!r} overflows squared distances"
@@ -121,9 +130,8 @@ def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
 
     prev_objective = np.inf
     for _ in range(KMEANS_MAX_ITER):
-        dist = _pairwise_sq_dists(data, centroids)
-        assign = np.argmin(dist, axis=1)
-        point_cost = dist[np.arange(n), assign]
+        assign = _nearest(data, centroids)
+        point_cost = _assigned_sq_dists(data, centroids, assign)
 
         sizes = np.bincount(assign, minlength=k)
         for cluster in np.flatnonzero(sizes == 0):
@@ -163,6 +171,7 @@ def _plus_plus_init(
     data: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     n = data.shape[0]
+    data_sq = _sq_norms(data)
     chosen = [int(rng.integers(n))]
     closest = _pairwise_sq_dists(data, data[chosen[-1]][None, :])[:, 0]
     while len(chosen) < k:
@@ -175,29 +184,149 @@ def _plus_plus_init(
             taken = set(chosen)
             pick = next(i for i in range(n) if i not in taken)
         chosen.append(pick)
-        closest = np.minimum(
-            closest, _pairwise_sq_dists(data, data[pick][None, :])[:, 0]
+        # only a row whose screened distance may be below closest can lower it
+        centre = data[pick][None, :]
+        low, tau = _screen(data, data_sq, centre)
+        low = low[:, 0]
+        low -= tau
+        rows = np.flatnonzero(low <= closest)
+        closest[rows] = np.minimum(
+            closest[rows], _pairwise_sq_dists(data, centre, rows)[:, 0]
         )
     return data[chosen].copy()
 
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (len(a), len(b)), in row blocks.
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, a)
 
-    Each block's (rows, len(b), d) difference tensor holds at most
-    KMEANS_BLOCK elements, or one row of a, in one scratch block the call
-    reuses, so scratch memory does not grow with len(a). Every element is
-    summed exactly as over the whole tensor.
+
+def _screen(
+    a: np.ndarray, a_sq: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances from one matrix product, and a bound on their error.
+
+    Returns g, (len(a), len(b)), g = |a_i|^2 + |b_j|^2 - 2 a_i.b_j with
+    a_sq = _sq_norms(a), and tau, (len(a),), such that every g[i, j] is
+    within tau[i] of e[i, j], the exact kernel's _pairwise_sq_dists(a, b),
+    even after one more rounded addition or subtraction of tau.
+
+    The bound, with u = 2**-53 and gamma_n = n*u / (1 - n*u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1):
+    a float64 sum of d products, in any order and with or without fused
+    multiply-adds, is within gamma_d of the same sum of |products|, and
+    each product that underflows adds at most 2**-1075 (IEEE gradual
+    underflow). Write A = |a_i|^2, B = |b_j|^2 and D = |a_i - b_j|^2,
+    exactly, so |a_i.b_j| <= (A + B) / 2 and D <= 2 (A + B).
+
+    * g: the norms are within gamma_d A and gamma_d B, the product within
+      gamma_d (A + B) / 2, doubling is exact, and the two additions round by
+      u of values at most 2 (A + B)(1 + gamma_d); so |g - D| <= 2
+      gamma_{d+2} (A + B).
+    * e rounds d differences, d squares and a d-term sum:
+      |e - D| <= gamma_{d+2} D <= 2 gamma_{d+2} (A + B).
+    * Underflow: 2**-1075 at most for each of the d products of each norm
+      and of e, twice that for those of 2 a_i.b_j: under 3d * 2**-1074.
+
+    So |g - e| <= 4 gamma_{d+2} (A + B) + 3d * 2**-1074. tau takes
+    4 gamma_{d+4} (A + max_j B) + (d + 4) * 2**-1072: the margin, at least
+    8u (A + B) and (d + 16) * 2**-1074, covers tau's own rounding from the
+    computed norms and the one rounding of g - tau or min g + 2 tau in the
+    callers' comparisons. Callers use g only to rule out what the exact
+    distances could not give; every value they keep is an exact e.
     """
-    n, k, d = a.shape[0], b.shape[0], b.shape[1]
+    d = a.shape[1]
+    b_sq = _sq_norms(b)
+    g = a @ b.T
+    g *= -2.0
+    g += a_sq[:, None]
+    g += b_sq
+    u = 2.0**-53
+    gamma = (d + 4) * u / (1.0 - (d + 4) * u)
+    tau = a_sq + b_sq.max()
+    tau *= 4.0 * gamma
+    tau += (d + 4) * 2.0**-1072
+    return g, tau
+
+
+def _nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.argmin(_pairwise_sq_dists(a, b), axis=1), exact distances only
+    for the rows the screen leaves open.
+
+    A row's nearest column e_j* has g_j* - tau <= e_j* <= e_l <= g_l + tau
+    for every l, so g_j* <= min g + 2 tau. A row with one such column is
+    settled by it; any other gets its exact row, ties to the lowest index.
+    """
+    g, tau = _screen(a, _sq_norms(a), b)
+    assign = np.argmin(g, axis=1)
+    tau *= 2.0
+    tau += g.min(axis=1)
+    open_rows = np.flatnonzero(
+        np.count_nonzero(g <= tau[:, None], axis=1) > 1
+    )
+    if open_rows.size:
+        assign[open_rows] = np.argmin(
+            _pairwise_sq_dists(a, b, open_rows), axis=1
+        )
+    return assign
+
+
+def _assigned_sq_dists(
+    a: np.ndarray, b: np.ndarray, assign: np.ndarray
+) -> np.ndarray:
+    """_pairwise_sq_dists(a, b)[i, assign[i]] for every row i, bit for bit.
+
+    Rows go in blocks of at most KMEANS_BLOCK elements, or one row, in one
+    scratch block the call reuses, so no (len(a), d) temporary is made.
+    """
+    n, d = a.shape
+    out = np.empty(n, dtype=np.float64)
+    step = max(1, KMEANS_BLOCK // d)
+    scratch = np.empty((min(step, n), d), dtype=np.float64)
+    for i in range(0, n, step):
+        diff = scratch[:min(step, n - i)]
+        np.subtract(a[i:i + step], b[assign[i:i + step]], out=diff)
+        _sum_squares(diff, out[i:i + step])
+    return out
+
+
+def _pairwise_sq_dists(
+    a: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared Euclidean distances, (len(rows), len(b)), in row blocks.
+
+    rows indexes a (all of it by default). Each block's (rows, len(b), d)
+    difference tensor holds at most KMEANS_BLOCK elements, or one row of a,
+    in one scratch block the call reuses, so scratch memory grows with
+    neither len(a) nor len(rows). Every distance is one einsum sum over its
+    whole row (see _sum_squares), whatever block it falls in.
+    """
+    if rows is None:
+        rows = np.arange(a.shape[0])
+    n, k, d = rows.shape[0], b.shape[0], b.shape[1]
     out = np.empty((n, k), dtype=np.float64)
     step = max(1, KMEANS_BLOCK // (k * d))
     scratch = np.empty((min(step, n), k, d), dtype=np.float64)
     for i in range(0, n, step):
         diff = scratch[:min(step, n - i)]
-        np.subtract(a[i:i + step, None, :], b[None, :, :], out=diff)
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[i:i + step])
+        np.subtract(a[rows[i:i + step], None, :], b[None, :, :], out=diff)
+        _sum_squares(diff, out[i:i + step])
     return out
+
+
+def _sum_squares(diff: np.ndarray, out: np.ndarray) -> None:
+    """out[...] = the sums of diff**2 over its last axis.
+
+    einsum sums each row of a block in one pass over the row, but a block
+    of one row (one pair of points) in buffered chunks of 8192 elements; a
+    lone row is summed beside a zero row, so that its bits do not depend on
+    the block it fell in.
+    """
+    if diff.size == diff.shape[-1]:
+        pair = np.zeros((2, diff.shape[-1]), dtype=np.float64)
+        pair[0] = diff.reshape(-1)
+        out[...] = np.einsum("ij,ij->i", pair, pair)[0]
+    else:
+        np.einsum("...k,...k->...", diff, diff, out=out)
 
 
 def vlad_encode(frames, codebook: Codebook) -> np.ndarray:
@@ -217,7 +346,7 @@ def vlad_encode(frames, codebook: Codebook) -> np.ndarray:
             f"{codebook.dim}"
         )
     k, d = codebook.k, codebook.dim
-    assign = np.argmin(_pairwise_sq_dists(arr, codebook.centroids), axis=1)
+    assign = _nearest(arr, codebook.centroids)
     blocks = np.zeros((k, d), dtype=np.float64)
     for cluster in range(k):
         mask = assign == cluster

@@ -13,6 +13,7 @@ captures them first.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import ContractViolation
@@ -82,23 +83,25 @@ def assign_to_selected(
         if node_id not in taxonomy.nodes:
             raise ContractViolation(f"unknown synset id: {node_id!r}")
 
-    # breadth-first, so a node's parent is settled first (the root has None)
-    nearest: dict[SynsetId, SynsetId | None] = {}
-    for node_id in taxonomy.depths():
-        nearest[node_id] = (node_id if node_id in selected_set
-                            else nearest.get(taxonomy.nodes[node_id].parent))
-
     members: dict[SynsetId, set[SynsetId]] = {s: set() for s in selected_set}
     unassigned: list[tuple[SynsetId, int]] = []
     effective: dict[SynsetId, int] = {s: 0 for s in selected_set}
-    for node_id, node in taxonomy.nodes.items():
-        owner = nearest[node_id]
+    # one breadth-first walk: each child inherits its parent's owner unless
+    # it is selected itself (the root's parent owns nothing)
+    walk = deque([(taxonomy.root, None)])
+    while walk:
+        node_id, owner = walk.popleft()
+        node = taxonomy.nodes[node_id]
+        if node_id in selected_set:
+            owner = node_id
         if owner is None:
             if node.direct_count > 0:
                 unassigned.append((node_id, node.direct_count))
         else:
             members[owner].add(node_id)
             effective[owner] += node.direct_count
+        for child in node.children:
+            walk.append((child, owner))
 
     warnings = []
     if t_t is not None:

@@ -235,6 +235,39 @@ def oracle_pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def oracle_nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's nearest row of b from the full exact distance matrix, the
+    lowest index on a tie."""
+    return np.argmin(oracle_pairwise_sq_dists(a, b), axis=1)
+
+
+def oracle_plus_plus_init(
+    data: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding.
+
+    The library's original version, kept verbatim but for the distance
+    kernel: one exact distance column per pick over every point.
+    """
+    n = data.shape[0]
+    chosen = [int(rng.integers(n))]
+    closest = oracle_pairwise_sq_dists(data, data[chosen[-1]][None, :])[:, 0]
+    while len(chosen) < k:
+        total = float(closest.sum())
+        if total > 0.0:
+            probs = closest / total
+            pick = int(rng.choice(n, p=probs))
+        else:
+            # all remaining points coincide with a centroid
+            taken = set(chosen)
+            pick = next(i for i in range(n) if i not in taken)
+        chosen.append(pick)
+        closest = np.minimum(
+            closest, oracle_pairwise_sq_dists(data, data[pick][None, :])[:, 0]
+        )
+    return data[chosen].copy()
+
+
 def oracle_canonical_rows(arr: np.ndarray) -> np.ndarray:
     """Rows in lexicographic order.
 

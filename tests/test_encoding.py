@@ -1,5 +1,6 @@
 """Pooling, codebook training, and VLAD encoding."""
 
+import math
 import os
 import subprocess
 import sys
@@ -15,8 +16,12 @@ from hierkit import encoding
 from hierkit.encoding import (
     KMEANS_BLOCK,
     Codebook,
+    _assigned_sq_dists,
     _canonical_rows,
+    _nearest,
     _pairwise_sq_dists,
+    _plus_plus_init,
+    as_frame_matrix,
     average_pool,
     kmeans_fit,
     l1_normalize,
@@ -27,13 +32,80 @@ from hierkit.io import read_codebook, write_codebook
 
 from oracles import (
     oracle_canonical_rows,
+    oracle_nearest,
     oracle_pairwise_sq_dists,
+    oracle_plus_plus_init,
     oracle_two_means,
 )
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # few values: first columns tie, rows repeat, 0.0 and -0.0 both appear
 FEW_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+# magnitudes from the subnormals (2**-1074) up to 2**480
+DECADES = st.builds(
+    lambda sign, mantissa, exponent: sign * math.ldexp(mantissa, exponent),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(0.5, 1.0, exclude_max=True),
+    st.integers(-1074, 480),
+)
+MAX_ROWS, MAX_COLS = 50, 8
+
+
+def overflow_limit(size):
+    """Just below the largest |value| as_frame_matrix accepts in a matrix
+    of this many elements."""
+    return float(np.sqrt(np.finfo(np.float64).max / (4 * size))) * 0.999
+
+
+NEAR_LIMIT = st.floats(-1.0, 1.0).map(
+    lambda x: x * overflow_limit(MAX_ROWS * MAX_COLS)
+)
+# points close together far from the origin: the product's rounding is many
+# times the distances it ranks
+OFFSET = FEW_VALUES.map(lambda x: x + 2.0**27)
+POINT_VALUES = [FEW_VALUES, DECADES, NEAR_LIMIT, OFFSET]
+
+
+@st.composite
+def point_sets(draw):
+    """Frames and centroids of one dimension, both valid frame matrices."""
+    elements = draw(st.sampled_from(POINT_VALUES))
+    d = draw(st.integers(1, MAX_COLS))
+    a = draw(arrays(np.float64, (draw(st.integers(1, MAX_ROWS)), d),
+                    elements=elements))
+    b = draw(arrays(np.float64, (draw(st.integers(1, 12)), d),
+                    elements=elements))
+    return as_frame_matrix(a), as_frame_matrix(b)
+
+
+class RecordingRng:
+    """A seeded generator that records every probability vector passed to
+    choice, so two seedings can be compared bit for bit."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.probs = []
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def choice(self, n, p):
+        self.probs.append(p.tobytes())
+        return self.rng.choice(n, p=p)
+
+
+def same_seeding(data, k, seed):
+    got_rng, want_rng = RecordingRng(seed), RecordingRng(seed)
+    got = _plus_plus_init(data, k, got_rng)
+    want = oracle_plus_plus_init(data, k, want_rng)
+    return got.tobytes() == want.tobytes() and got_rng.probs == want_rng.probs
+
+
+def separated_frames(n, k, d, seed=0):
+    """Noisy copies of k well-separated words."""
+    rng = np.random.default_rng(seed)
+    words = rng.random((k, d))
+    return words[rng.integers(k, size=n)] + 0.01 * rng.random((n, d)), words
 
 
 @st.composite
@@ -170,33 +242,51 @@ class TestPairwiseSqDists:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(n, d))
         b = rng.normal(size=(k, d))
+        want = oracle_pairwise_sq_dists(a, b)
         got = _pairwise_sq_dists(a, b)
         assert got.shape == (n, k)
-        np.testing.assert_array_equal(got, oracle_pairwise_sq_dists(a, b))
+        np.testing.assert_array_equal(got, want)
+        rows = rng.permutation(n)[:n // 2 + 1]
+        assert _pairwise_sq_dists(a, b, rows).tobytes() == want[rows].tobytes()
+        assign = rng.integers(k, size=n)
+        assert (_assigned_sq_dists(a, b, assign).tobytes()
+                == want[np.arange(n), assign].tobytes())
 
     @pytest.mark.parametrize("k,d", [(64, 128), (5, 3), (7, 1)])
     def test_rows_around_block_edges(self, k, d):
-        step = KMEANS_BLOCK // (k * d)
-        for n in (step - 1, step, step + 1, 2 * step + 1):
-            self.check(n, k, d)
+        for step in (KMEANS_BLOCK // (k * d), KMEANS_BLOCK // d):
+            for n in (step - 1, step, step + 1, 2 * step + 1):
+                self.check(n, k, d)
 
     def test_wide_rows_fall_back_to_one_row_per_block(self):
         k, d = 40, KMEANS_BLOCK // 40 + 1
         assert k * d > KMEANS_BLOCK
         self.check(3, k, d)
+        self.check(3, 2, KMEANS_BLOCK + 1)  # one row per assigned-cost block
 
     def test_single_row(self):
         self.check(1, 64, 128)
         self.check(1, 1, 1)
+
+    def test_a_row_does_not_depend_on_its_block(self):
+        # einsum sums a lone pair of points in chunks of 8192 elements, a
+        # block of pairs whole: rows wider than that show any difference
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(3, 9000)), rng.normal(size=(1, 9000))
+        whole = _pairwise_sq_dists(a, b)
+        for i in range(3):
+            alone = a[i:i + 1]
+            assert (_pairwise_sq_dists(alone, b).tobytes()
+                    == whole[i].tobytes()
+                    == _assigned_sq_dists(alone, b, np.zeros(1, int)).tobytes())
 
     def test_oracle_gives_same_codebook_and_vlad(self, monkeypatch):
         rng = np.random.default_rng(4)
         frames = rng.normal(size=(700, 16))
         codebook = kmeans_fit(frames, k=9, seed=2)
         encoded = vlad_encode(frames[:300], codebook)
-        monkeypatch.setattr(
-            encoding, "_pairwise_sq_dists", oracle_pairwise_sq_dists
-        )
+        monkeypatch.setattr(encoding, "_nearest", oracle_nearest)
+        monkeypatch.setattr(encoding, "_plus_plus_init", oracle_plus_plus_init)
         oracle_codebook = kmeans_fit(frames, k=9, seed=2)
         assert (
             oracle_codebook.centroids.tobytes() == codebook.centroids.tobytes()
@@ -216,6 +306,101 @@ class TestPairwiseSqDists:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_kmeans_makes_no_frame_sized_temporary(self):
+        # the frames alone are 4.9 MB; the (n, k) screen 2.5 MB
+        data, _ = separated_frames(4800, 64, 128)
+        tracemalloc.start()
+        try:
+            kmeans_fit(data, k=64, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+
+class TestNearestScreen:
+    """The screened nearest centroid and k-means++ seeding against the
+    exact-distance oracles, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(point_sets())
+    @example((np.array([[0.0, 0.0]]), np.array([[1.0, 0.0], [-1.0, 0.0]])))
+    @example((np.array([[5e-324], [-0.0]]), np.array([[0.0], [1e-323]])))
+    # both distances underflow to a tie at 0.0; only tau's underflow term
+    # keeps both columns open
+    @example((np.ldexp([[-3.0]], -539), np.ldexp([[-2.0], [-3.0]], -539)))
+    def test_nearest_matches_oracle(self, points):
+        a, b = points
+        np.testing.assert_array_equal(_nearest(a, b), oracle_nearest(a, b))
+
+    @settings(max_examples=200)
+    @given(point_sets(), st.integers(0, 2**64 - 1), st.data())
+    def test_seeding_matches_oracle(self, points, seed, data):
+        frames = points[0]
+        k = data.draw(st.integers(1, len(frames)))
+        assert same_seeding(frames, k, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["few", "offset", "decades", "near_limit"]),
+           st.integers(0, 2**32 - 1))
+    def test_any_product_within_the_bound_gives_the_same_bytes(self, kind,
+                                                               seed):
+        # The screen's g is replaced by the exact distances moved by up to
+        # 0.99 tau, half of them by the full 0.99 tau, as a BLAS with
+        # another reduction order or thread count might. At d = 128 the
+        # margin in tau covers the rounding of that move.
+        rng = np.random.default_rng(seed)
+        n, k, d = 60, 9, 128
+        if kind in ("few", "offset"):
+            frames = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, 2.0], (n, d))
+            if kind == "offset":
+                frames += 2.0**27
+        elif kind == "decades":
+            frames = np.ldexp(rng.choice([-1.0, 1.0], (n, d)) * rng.random(
+                (n, d)), rng.integers(-1074, 480, (n, d)))
+        else:
+            frames = rng.uniform(-1.0, 1.0, (n, d)) * overflow_limit(n * d)
+        frames = as_frame_matrix(frames)
+        real = encoding._screen
+
+        def moved(a, a_sq, b):
+            g, tau = real(a, a_sq, b)
+            shift = np.where(rng.random(g.shape) < 0.5,
+                             rng.choice([-1.0, 1.0], g.shape),
+                             rng.uniform(-1.0, 1.0, g.shape))
+            return (oracle_pairwise_sq_dists(a, b)
+                    + 0.99 * shift * tau[:, None]), tau
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoding, "_screen", moved)
+            centroids = frames[rng.choice(n, k, replace=False)]
+            np.testing.assert_array_equal(
+                _nearest(frames, centroids), oracle_nearest(frames, centroids)
+            )
+            assert same_seeding(frames, k, seed)
+
+    def test_exact_fallback_only_where_rounding_could_decide(self,
+                                                             monkeypatch):
+        exact_rows = []
+
+        def spy(a, b, rows):
+            exact_rows.append(len(rows))
+            return oracle_pairwise_sq_dists(a[rows], b)
+
+        monkeypatch.setattr(encoding, "_pairwise_sq_dists", spy)
+        frames, words = separated_frames(400, 16, 32)
+        np.testing.assert_array_equal(
+            _nearest(frames, words), oracle_nearest(frames, words))
+        vlad_encode(frames, Codebook(centroids=words, seed=0))
+        assert exact_rows == []
+        # 0/1 frames against 0/1 words: most frames tie between words
+        rng = np.random.default_rng(1)
+        frames = rng.integers(0, 2, (400, 6)).astype(np.float64)
+        words = np.unique(frames, axis=0)[::3]
+        np.testing.assert_array_equal(
+            _nearest(frames, words), oracle_nearest(frames, words))
+        assert sum(exact_rows) > 0
 
 
 class TestKmeans:
@@ -284,20 +469,18 @@ class TestKmeans:
     @pytest.mark.parametrize("rise,warns", [(1e-11, False), (1e-6, True)])
     def test_objective_rise_warns_beyond_rounding(self, monkeypatch, rise,
                                                    warns):
-        # each Lloyd round's distances are scaled so that its objective is
-        # the last one's times (1 + rise); assignments do not change
-        real = encoding._pairwise_sq_dists
+        # each Lloyd round's point costs are scaled so that its objective
+        # is the last one's times (1 + rise); assignments do not change
+        real = encoding._assigned_sq_dists
         reported = []
 
-        def creeping(a, b):
-            dist = real(a, b)
-            if b.shape[0] == 1:  # k-means++ seeding
-                return dist
-            true = float(dist.min(axis=1).sum())
+        def creeping(a, b, assign):
+            cost = real(a, b, assign)
+            true = float(cost.sum())
             reported.append(reported[-1] * (1.0 + rise) if reported else true)
-            return dist * (reported[-1] / true)
+            return cost * (reported[-1] / true)
 
-        monkeypatch.setattr(encoding, "_pairwise_sq_dists", creeping)
+        monkeypatch.setattr(encoding, "_assigned_sq_dists", creeping)
         # objective ~1e12: a rise of 1e-11 of it is far above an absolute
         # 1e-9, yet only rounding
         data = np.random.default_rng(7).random((40, 3)) * 1e6
@@ -312,11 +495,11 @@ class TestKmeans:
         script = (
             "import warnings, numpy as np\n"
             "import hierkit.encoding as enc\n"
-            "real, calls = enc._pairwise_sq_dists, []\n"
-            "def rising(a, b):\n"
+            "real, calls = enc._assigned_sq_dists, []\n"
+            "def rising(a, b, assign):\n"
             "    calls.append(None)\n"
-            "    return real(a, b) * 10.0 ** len(calls)\n"
-            "enc._pairwise_sq_dists = rising\n"
+            "    return real(a, b, assign) * 10.0 ** len(calls)\n"
+            "enc._assigned_sq_dists = rising\n"
             "with warnings.catch_warnings(record=True) as seen:\n"
             "    warnings.simplefilter('always')\n"
             "    enc.kmeans_fit(np.random.default_rng(7).random((40, 3)), 3, 0)\n"
