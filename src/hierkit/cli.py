@@ -30,6 +30,7 @@ from .encoding import average_pool, kmeans_fit, vlad_encode
 from .errors import ContractViolation, HierkitError, ParseError
 from .evaluation import ScoredList, late_fuse, mean_average_precision
 from .io import (
+    _open_text,
     _read_bytes,
     _read_text,
     _records,
@@ -203,30 +204,35 @@ def _cmd_export_trainlist(ns, prov: str) -> int:
 
     class_of = label_map.class_of_synset().get
     per_class: dict[int, list[str]] = {}
-    for lineno, raw, fields in _records(_read_text(ns.images), "\t"):
-        if len(fields) != 2:
-            raise ParseError(
-                f"expected 'image_id<TAB>synset_id', got {raw!r}", line=lineno
-            )
-        class_id = class_of(fields[1])
-        if class_id is not None:
-            try:
-                per_class[class_id].append(fields[0])
-            except KeyError:
-                per_class[class_id] = [fields[0]]
+    with _open_text(ns.images) as images:
+        for lineno, raw, fields in _records(images, "\t"):
+            if len(fields) != 2:
+                raise ParseError(
+                    f"expected 'image_id<TAB>synset_id', got {raw!r}", line=lineno
+                )
+            class_id = class_of(fields[1])
+            if class_id is not None:
+                try:
+                    per_class[class_id].append(fields[0])
+                except KeyError:
+                    per_class[class_id] = [fields[0]]
+    atomic_write_text(ns.out, _trainlist_pieces(per_class, plan, targets, prov))
+    return 0
 
-    lines = [f"# {prov}"]
+
+def _trainlist_pieces(per_class: dict[int, list[str]], plan, targets, prov):
+    """The train list as its header line, then one piece per class:
+    ``image_id<TAB>class_id`` lines in class order, capped by the plan."""
+    yield f"# {prov}\n"
     for class_id in sorted(per_class):
         images = per_class[class_id]
-        if targets is None:
-            keep = range(len(images))
-        else:
+        if targets is not None:
             target = min(targets[class_id], len(images))
-            keep = selected_indices(plan.seed, class_id, len(images), target)
-        suffix = f"\t{class_id}"
-        lines.extend([images[i] + suffix for i in keep])
-    atomic_write_text(ns.out, "\n".join(lines) + "\n")
-    return 0
+            images = [images[i] for i in selected_indices(
+                plan.seed, class_id, len(images), target)]
+        if images:
+            end = f"\t{class_id}\n"
+            yield end.join(images) + end
 
 
 def _cmd_pool(ns, prov: str) -> int:

@@ -228,11 +228,15 @@ def oracle_two_means(points: np.ndarray) -> list[np.ndarray]:
 def oracle_pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, (len(a), len(b)).
 
-    The library's original one-shot version, kept verbatim: it materializes
-    the whole (len(a), len(b), d) difference tensor.
+    The library's original one-shot version: it materializes the whole
+    (len(a), len(b), d) difference tensor. The pairs are summed as the rows
+    of one block with a zero row appended, so a lone pair is summed whole
+    too: einsum sums a one-row block in buffered chunks of 8192 elements.
     """
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    d = a.shape[1]
+    diff = (a[:, None, :] - b[None, :, :]).reshape(-1, d)
+    pairs = np.concatenate([diff, np.zeros((1, d))])
+    return np.einsum("ij,ij->i", pairs, pairs)[:-1].reshape(len(a), len(b))
 
 
 def oracle_nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -347,8 +348,16 @@ class TestTrainListBytes:
     PLAN = (PLAN_HEADER.replace("t_s=3", "t_s=6")
             + "0\t3\t11\n1\t4\t11\n2\t6\t11\n")
 
-    @pytest.mark.parametrize("with_plan", [False, True], ids=["all", "plan"])
-    def test_export_bytes_match_oracle(self, tmp_path, with_plan):
+    # the default read block, then images.tsv read a few characters at a time
+    @pytest.mark.parametrize("with_plan,block", [
+        pytest.param(with_plan, block, id=("plan" if with_plan else "all")
+                     + (f"-block{block}" if block else ""))
+        for block in (None, 1, 5, 64) for with_plan in (False, True)
+    ])
+    def test_export_bytes_match_oracle(self, tmp_path, monkeypatch, with_plan,
+                                       block):
+        if block:
+            monkeypatch.setattr(hierkit.io, "READ_BLOCK", block)
         labelmap = tmp_path / "lm.tsv"
         labelmap.write_text(self.LABELMAP)
         plan = tmp_path / "plan.tsv"
@@ -401,6 +410,82 @@ class TestTrainListBytes:
         assert run(*argv) == 2
         assert "parse error: line " in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestTrainListStreaming:
+    """``images.tsv`` is read in blocks and the train list written in
+    pieces: a failure late in the stream still ends in exit 2 with no
+    output, and memory follows the ids kept, not the file."""
+
+    @pytest.fixture
+    def export(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(hierkit.io, "READ_BLOCK", 16)
+        labelmap = tmp_path / "lm.tsv"
+        labelmap.write_text(LABELMAP_HEADER + "0\tA\t5\tA\n")
+        out = tmp_path / "train.tsv"
+
+        def export(images):
+            capsys.readouterr()
+            code = run("export-trainlist", "--labelmap", str(labelmap),
+                       "--images", str(images), "--out", str(out))
+            assert not out.exists()
+            assert [p for p in os.listdir(tmp_path)
+                    if p.startswith(".hierkit")] == []
+            return code, capsys.readouterr().err
+
+        return export
+
+    def test_undecodable_byte_after_first_block(self, tmp_path, export):
+        images = tmp_path / "images.tsv"
+        images.write_bytes(b"".join(b"i%d\tA\n" % i for i in range(40))
+                           + b"\xff\n")
+        code, err = export(images)
+        assert code == 2
+        assert f"parse error: cannot read {images}: " in err
+
+    def test_malformed_line_in_late_block_names_its_line(self, tmp_path,
+                                                         export):
+        rows = [f"i{i}\tA" for i in range(100)]
+        rows[3:3] = ["", "# comment", "  "]
+        rows[90] = "bad line"
+        images = tmp_path / "images.tsv"
+        images.write_bytes("".join(row + ("\r\n" if i % 2 else "\n")
+                                   for i, row in enumerate(rows)).encode())
+        code, err = export(images)
+        assert code == 2
+        assert "line 91: expected 'image_id<TAB>synset_id'" in err
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_images_path_that_is_not_a_file(self, tmp_path, export, kind):
+        images = tmp_path / "images"
+        if kind == "directory":
+            images.mkdir()
+        code, err = export(images)
+        assert code == 2
+        assert f"parse error: cannot read {images}: " in err
+
+    def test_export_memory_follows_kept_ids_not_file_size(self, tmp_path):
+        # 200k images over 100 synsets, half of them in the label map. An
+        # export holding the text, its lines, every output line and the
+        # joined output peaks at 20.2 MiB traced here; a streamed one at
+        # 7.2 MiB, about the 100k kept ids.
+        labelmap = tmp_path / "lm.tsv"
+        labelmap.write_text(LABELMAP_HEADER + "".join(
+            f"{c}\tS{c:02d}\t1\tS{c:02d}\n" for c in range(50)))
+        images = tmp_path / "images.tsv"
+        images.write_text("".join(
+            f"img{i:07d}\tS{i % 100:02d}\n" for i in range(200_000)))
+        out = tmp_path / "train.tsv"
+        tracemalloc.start()
+        try:
+            code = run("export-trainlist", "--labelmap", str(labelmap),
+                       "--images", str(images), "--out", str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 100_000
+        assert peak < 12 * 2**20
 
 
 _IDS = st.sampled_from(("A", "B", "C", "R", "__root__"))

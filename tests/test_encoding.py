@@ -267,6 +267,7 @@ class TestPairwiseSqDists:
     def test_single_row(self):
         self.check(1, 64, 128)
         self.check(1, 1, 1)
+        self.check(1, 1, 9000)  # a lone pair wider than einsum's 8192 buffer
 
     def test_a_row_does_not_depend_on_its_block(self):
         # einsum sums a lone pair of points in chunks of 8192 elements, a

@@ -5,10 +5,11 @@ import math
 import os
 import re
 import struct
+from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hierkit
@@ -16,6 +17,9 @@ from hierkit.bottomup import PlanEntry, SubsamplePlan, read_plan, write_plan
 from hierkit.encoding import Codebook
 from hierkit.errors import ParseError
 from hierkit.io import (
+    _open_text,
+    _records,
+    atomic_write_bytes,
     atomic_write_text,
     read_codebook,
     read_frames_bin,
@@ -347,14 +351,102 @@ class TestContainerFuzz:
             reader(blob[:size])
 
 
+def _leftovers(directory):
+    return [p for p in os.listdir(directory) if p.startswith(".hierkit")]
+
+
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         target = tmp_path / "out.txt"
         atomic_write_text(str(target), "one\n")
         atomic_write_text(str(target), "two\n")
         assert target.read_text() == "two\n"
-        leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".hierkit")]
-        assert leftovers == []
+        assert _leftovers(tmp_path) == []
+
+    def test_pieces_are_written_in_order(self, tmp_path):
+        target = tmp_path / "out.txt"
+        atomic_write_text(str(target), iter(["# h\n", "", "a\t0\né\t1\n"]))
+        assert target.read_bytes() == "# h\na\t0\né\t1\n".encode()
+        assert _leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    @pytest.mark.parametrize("write", [
+        lambda path: atomic_write_bytes(path, b"x"),
+        lambda path: atomic_write_text(path, "x"),
+        lambda path: atomic_write_text(path, ["x"]),
+    ], ids=["bytes", "text", "pieces"])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode, write):
+        old = os.umask(umask)
+        try:
+            target = tmp_path / "out.txt"
+            for _ in range(2):  # a new output, then a replaced one
+                write(str(target))
+                assert target.stat().st_mode & 0o777 == mode
+        finally:
+            os.umask(old)
+
+    @pytest.mark.parametrize("existing", [None, b"old\n"], ids=["new", "old"])
+    def test_piece_that_raises_leaves_nothing(self, tmp_path, existing):
+        target = tmp_path / "out.txt"
+        if existing is not None:
+            target.write_bytes(existing)
+
+        def pieces():
+            yield "first\n" * 1000
+            raise ParseError("bad piece")
+
+        with pytest.raises(ParseError, match="bad piece"):
+            atomic_write_text(str(target), pieces())
+        if existing is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == existing
+        assert _leftovers(tmp_path) == []
+
+
+# every character str.splitlines ends a line at, and the pieces of the
+# grammar: CRLF, blank, comment and padded lines, separators
+_LINE_TOKENS = st.sampled_from([
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", " ", "\t", ",", "#", "a", "bc", "é", "\u4e2d",
+])
+
+
+class TestRecordsOverFiles:
+    """``_records`` over an open file gives what it gives over the file's
+    text, at every block size: line breaks, CRLF pairs and unterminated
+    lines at block edges, line numbers across blocks."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(st.text(max_size=120),
+                          st.lists(_LINE_TOKENS, max_size=60).map("".join)),
+           sep=st.sampled_from([",", "\t", None]))
+    @example(text="a\r\nb\r\n\r\n #c\r\n  d , e \rf", sep=",")
+    @example(text="\r\n" * 9 + "x", sep=None)
+    @example(text="\n\n#\n  \n\u2028x\x85", sep="\t")
+    def test_file_matches_text(self, tmp_path, monkeypatch, block, text, sep):
+        monkeypatch.setattr(hierkit.io, "READ_BLOCK", block)
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with _open_text(str(path)) as handle:
+            got = list(_records(handle, sep))
+        assert got == list(_records(text, sep))
+
+    def test_long_line_is_read_in_growing_blocks(self, monkeypatch):
+        monkeypatch.setattr(hierkit.io, "READ_BLOCK", 16)
+        reads = []
+
+        class Source(StringIO):
+            def read(self, size=-1):
+                reads.append(size)
+                return super().read(size)
+
+        text = "x," * 2**19 + "\ny\n"
+        assert list(_records(Source(text))) == list(_records(text))
+        # each read of an unterminated line at least doubles it
+        assert len(reads) < 30
 
 
 # -- text readers against the original loops, and under fuzzing -------------
