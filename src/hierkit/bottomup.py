@@ -16,7 +16,7 @@ ancestor-or-self, and synsets with none are unassigned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,15 +47,13 @@ class ReorgConfig:
             raise ContractViolation("seed must fit in 64 unsigned bits")
 
 
-@dataclass(frozen=True)
-class PlanEntry:
-    class_id: int
-    target_count: int
-
-
 @dataclass
 class SubsamplePlan:
-    entries: list[PlanEntry]
+    """``targets`` maps each class id to the number of its images kept, in
+    the order the plan lists the classes: class order from
+    ``subsample_plan``, file order from ``read_plan``."""
+
+    targets: dict[int, int]
     t_s: int
     seed: int
 
@@ -63,18 +61,11 @@ class SubsamplePlan:
 def _working_copy(taxonomy: Taxonomy) -> Taxonomy:
     nodes = {
         node_id: TaxonomyNode(
-            node_id, node.direct_count, node.name, list(node.children),
-            node.parent,
+            node_id, node.direct_count, list(node.children), node.parent
         )
         for node_id, node in taxonomy.nodes.items()
     }
-    return Taxonomy(
-        nodes=nodes,
-        root=taxonomy.root,
-        dropped_edges=list(taxonomy.dropped_edges),
-        synthetic_root=taxonomy.synthetic_root,
-        orphans=list(taxonomy.orphans),
-    )
+    return replace(taxonomy, nodes=nodes)
 
 
 def _roll(out: Taxonomy) -> None:
@@ -183,14 +174,10 @@ def subsample_plan(
     """Cap every class at t_s images; selection is seeded per class."""
     if t_s < 1:
         raise ContractViolation(f"t_s must be >= 1, got {t_s}")
-    entries = [
-        PlanEntry(
-            class_id=cls.class_id,
-            target_count=min(cls.assigned_count, t_s),
-        )
-        for cls in label_map.classes
-    ]
-    return SubsamplePlan(entries=entries, t_s=t_s, seed=seed)
+    targets = {
+        cls.class_id: min(cls.assigned_count, t_s) for cls in label_map.classes
+    }
+    return SubsamplePlan(targets=targets, t_s=t_s, seed=seed)
 
 
 def bottom_up_pipeline(
@@ -230,7 +217,8 @@ def write_plan(plan: SubsamplePlan) -> str:
         f"t_s={plan.t_s} seed={plan.seed}"
     ]
     lines.extend(
-        f"{e.class_id}\t{e.target_count}\t{plan.seed}" for e in plan.entries
+        f"{class_id}\t{target}\t{plan.seed}"
+        for class_id, target in plan.targets.items()
     )
     return "\n".join(lines) + "\n"
 
@@ -256,8 +244,7 @@ def read_plan(text: str) -> SubsamplePlan:
         raise ParseError(f"plan t_s must be >= 1, got {t_s}", line=1)
     if not 0 <= seed < 2**64:
         raise ParseError("plan seed must fit in 64 unsigned bits", line=1)
-    entries: list[PlanEntry] = []
-    class_ids: set[int] = set()
+    targets: dict[int, int] = {}
     for lineno, raw, fields in _records(text, "\t"):
         if len(fields) != 3:
             raise ParseError(
@@ -274,8 +261,7 @@ def read_plan(text: str) -> SubsamplePlan:
             )
         if line_seed != seed:
             raise ParseError("per-line seed differs from header", line=lineno)
-        if class_id in class_ids:
+        if class_id in targets:
             raise ParseError(f"duplicate class id {class_id}", line=lineno)
-        class_ids.add(class_id)
-        entries.append(PlanEntry(class_id=class_id, target_count=target))
-    return SubsamplePlan(entries=entries, t_s=t_s, seed=seed)
+        targets[class_id] = target
+    return SubsamplePlan(targets=targets, t_s=t_s, seed=seed)

@@ -1,8 +1,11 @@
 """Command-line entry point exposing every pipeline stage.
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 contract
-violation. All file outputs are written atomically (temp file + rename), and
-re-running a subcommand with identical inputs produces byte-identical files.
+Exit codes: 0 success, 1 usage error (an output that cannot be written is
+one), 2 input parse error, 3 contract violation. All file outputs are
+written atomically (temp file + rename), and re-running a subcommand with
+identical inputs produces byte-identical files. ``reorg-bottomup`` writes
+``--out`` before ``--plan-out``, and ``vlad`` ``--save-codebook`` before
+``--out``: when the second write fails, the first is already in place.
 The provenance ``hierkit <version> <subcommand> <flags>`` is recorded as
 follows: text reports, train lists, vector, Gram and score CSVs start with
 ``# <provenance>`` (a Gram appends `` | gamma=<value>``); label maps carry it
@@ -27,7 +30,7 @@ from .bottomup import (
     write_plan,
 )
 from .encoding import average_pool, kmeans_fit, vlad_encode
-from .errors import ContractViolation, HierkitError, ParseError
+from .errors import ContractViolation, ParseError, UsageError
 from .evaluation import ScoredList, late_fuse, mean_average_precision
 from .io import (
     _open_text,
@@ -63,10 +66,6 @@ PRESETS = {
 }
 
 
-class UsageError(HierkitError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2)
         raise UsageError(message)
@@ -80,10 +79,11 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def _load_taxonomy(ns):
-    edges, duplicates = parse_isa_edges(_read_text(ns.isa))
+    edges = parse_isa_edges(_read_text(ns.isa))
     counts = parse_counts(_read_text(ns.counts))
-    names = parse_names(_read_text(ns.names)) if ns.names else None
-    return build_taxonomy(edges, counts, names), duplicates
+    if ns.names:
+        parse_names(_read_text(ns.names))
+    return build_taxonomy(edges, counts)
 
 
 def _frame_ids(paths: list[str]) -> list[str]:
@@ -124,7 +124,7 @@ def _apply_preset(ns, keys: dict[str, str]) -> None:
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_validate(ns, prov: str) -> int:
-    taxonomy, duplicates = _load_taxonomy(ns)
+    taxonomy = _load_taxonomy(ns)
     lines = [
         f"# {prov}",
         f"nodes={len(taxonomy.nodes)}",
@@ -132,7 +132,7 @@ def _cmd_validate(ns, prov: str) -> int:
         f"synthetic_root={int(taxonomy.synthetic_root)}",
         f"dropped_edges={len(taxonomy.dropped_edges)}",
         f"orphans={len(taxonomy.orphans)}",
-        f"duplicate_edges={duplicates}",
+        f"duplicate_edges={taxonomy.duplicate_edges}",
         f"total_images={taxonomy.total_images()}",
         "ok=1",
     ]
@@ -141,7 +141,7 @@ def _cmd_validate(ns, prov: str) -> int:
 
 
 def _cmd_stats(ns, prov: str) -> int:
-    taxonomy, _ = _load_taxonomy(ns)
+    taxonomy = _load_taxonomy(ns)
     report = stats(taxonomy)
     lines = [
         f"# {prov}",
@@ -165,7 +165,7 @@ def _cmd_stats(ns, prov: str) -> int:
 
 def _cmd_reorg_bottomup(ns, prov: str) -> int:
     _apply_preset(ns, {"tb": "--tb", "tp": "--tp", "ts": "--ts"})
-    taxonomy, _ = _load_taxonomy(ns)
+    taxonomy = _load_taxonomy(ns)
     config = ReorgConfig(t_b=ns.tb, t_p=ns.tp, t_s=ns.ts, seed=ns.seed)
     label_map, plan = bottom_up_pipeline(taxonomy, config)
     label_map.provenance = f"{prov} | {label_map.provenance}"
@@ -178,7 +178,7 @@ def _cmd_reorg_bottomup(ns, prov: str) -> int:
 
 def _cmd_reorg_topdown(ns, prov: str) -> int:
     _apply_preset(ns, {"tt": "--tt", "budget": "--budget"})
-    taxonomy, _ = _load_taxonomy(ns)
+    taxonomy = _load_taxonomy(ns)
     config = TopDownConfig(t_t=ns.tt, budget=ns.budget)
     label_map, warnings = top_down_pipeline(taxonomy, config)
     label_map.provenance = f"{prov} | {label_map.provenance}"
@@ -192,10 +192,8 @@ def _cmd_reorg_topdown(ns, prov: str) -> int:
 def _cmd_export_trainlist(ns, prov: str) -> int:
     label_map = read_label_map(_read_text(ns.labelmap))
     plan = read_plan(_read_text(ns.plan)) if ns.plan else None
-    targets = None
     if plan:
-        targets = {entry.class_id: entry.target_count for entry in plan.entries}
-        stray = targets.keys() ^ {cls.class_id for cls in label_map.classes}
+        stray = plan.targets.keys() ^ {c.class_id for c in label_map.classes}
         if stray:
             raise ContractViolation(
                 f"class {min(stray)} is in only one of the plan and the "
@@ -216,18 +214,18 @@ def _cmd_export_trainlist(ns, prov: str) -> int:
                     per_class[class_id].append(fields[0])
                 except KeyError:
                     per_class[class_id] = [fields[0]]
-    atomic_write_text(ns.out, _trainlist_pieces(per_class, plan, targets, prov))
+    atomic_write_text(ns.out, _trainlist_pieces(per_class, plan, prov))
     return 0
 
 
-def _trainlist_pieces(per_class: dict[int, list[str]], plan, targets, prov):
+def _trainlist_pieces(per_class: dict[int, list[str]], plan, prov):
     """The train list as its header line, then one piece per class:
     ``image_id<TAB>class_id`` lines in class order, capped by the plan."""
     yield f"# {prov}\n"
     for class_id in sorted(per_class):
         images = per_class[class_id]
-        if targets is not None:
-            target = min(targets[class_id], len(images))
+        if plan is not None:
+            target = min(plan.targets[class_id], len(images))
             images = [images[i] for i in selected_indices(
                 plan.seed, class_id, len(images), target)]
         if images:
@@ -366,7 +364,8 @@ def _build_parser() -> _Parser:
     def taxonomy_inputs(p):
         p.add_argument("--isa", required=True, help="is_a.tsv: parent child per line")
         p.add_argument("--counts", required=True, help="counts.tsv: synset count per line")
-        p.add_argument("--names", help="words.tsv: synset<TAB>name per line")
+        p.add_argument("--names", help="words.tsv: synset<TAB>name per line; "
+                       "checked only, no output shows a name")
 
     def p_validate(p):
         taxonomy_inputs(p)

@@ -1,12 +1,17 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: ParseError -> 2, ContractViolation -> 3.
-Anything else is a bug.
+The CLI maps these onto exit codes: UsageError -> 1, ParseError -> 2,
+ContractViolation -> 3. Anything else is a bug.
 """
 
 
 class HierkitError(Exception):
     """Base class for all toolkit errors."""
+
+
+class UsageError(HierkitError):
+    """The command cannot run as given: a bad flag or flag combination, or
+    an output path that cannot be written."""
 
 
 class ParseError(HierkitError):

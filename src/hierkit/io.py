@@ -21,8 +21,9 @@ file is read ``READ_BLOCK`` characters at a time, so a large input such as
 ``repr`` so output is byte-stable and re-parses to the same double.
 
 Outputs are written to a sibling temp file and renamed into place, so they
-never go partial; ``atomic_write_text`` also takes a text as pieces, so a
-large output need not be joined in memory first.
+never go partial; an output that cannot be written is a UsageError.
+``atomic_write_text`` also takes a text as pieces, so a large output need
+not be joined in memory first.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import TextIO
 import numpy as np
 
 from .encoding import Codebook
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation, ParseError, UsageError
 from .parallel import map_chunks
 from .svm import SvmModel
 
@@ -61,19 +62,23 @@ _LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` in order to a sibling temp file, then rename it to
     ``path``. The temp file is created with mode 0o666 less the umask, the
-    mode ``open`` gives a new file."""
+    mode ``open`` gives a new file. Failing to create, write or rename it
+    (a missing directory, a directory at ``path``, a full disk) is a
+    UsageError naming ``path``; the temp file is removed on any failure."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".hierkit-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                for chunk in chunks:
+                    handle.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

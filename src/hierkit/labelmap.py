@@ -43,9 +43,6 @@ class LabelMap:
     unassigned: list[tuple[SynsetId, int]] = field(default_factory=list)
     provenance: str = ""
 
-    def total_assigned(self) -> int:
-        return sum(c.assigned_count for c in self.classes)
-
     def total_unassigned(self) -> int:
         return sum(count for _, count in self.unassigned)
 

@@ -4,7 +4,8 @@ The hierarchy arrives as WordNet-style is-a edges (``parent child`` per line)
 plus per-synset image counts. Synsets may have several hypernyms; the builder
 keeps, for every node, the parent closest to the root (ties broken by
 lexicographically smallest parent id) so downstream operations can treat the
-hierarchy as a rooted tree. Dropped edges are retained for auditability.
+hierarchy as a rooted tree. Dropped edges, and the number of repeated
+edge lines, are retained for auditability.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ SYNTHETIC_ROOT_ID = "__root__"
 class TaxonomyNode:
     id: SynsetId
     direct_count: int = 0
-    name: str | None = None
     children: list[SynsetId] = field(default_factory=list)
     parent: SynsetId | None = None
 
@@ -37,6 +37,7 @@ class Taxonomy:
     # diagnostics from canonicalization, not part of the tree proper
     synthetic_root: bool = False
     orphans: list[SynsetId] = field(default_factory=list)
+    duplicate_edges: int = 0
 
     def total_images(self) -> int:
         return sum(n.direct_count for n in self.nodes.values())
@@ -65,31 +66,22 @@ class StatsReport:
     max_count_class: tuple[SynsetId, int]
 
 
-def parse_isa_edges(text: str) -> tuple[list[tuple[SynsetId, SynsetId]], int]:
-    """Parse ``parent child`` lines into an edge list.
-
-    Returns the edges in file order with exact duplicates removed, together
-    with the number of duplicates dropped.
-    """
+def parse_isa_edges(text: str) -> list[tuple[SynsetId, SynsetId]]:
+    """Parse ``parent child`` lines into an edge list, in file order and
+    with repeated lines kept; ``build_taxonomy`` drops and counts them."""
     edges: list[tuple[SynsetId, SynsetId]] = []
-    seen: set[tuple[SynsetId, SynsetId]] = set()
-    duplicates = 0
     for lineno, raw, tokens in _records(text, None):
         if len(tokens) != 2:
             raise ParseError(
                 f"expected 'parent_id child_id', got {raw!r}", line=lineno
             )
-        edge = (tokens[0], tokens[1])
-        if edge in seen:
-            duplicates += 1
-            continue
-        seen.add(edge)
-        edges.append(edge)
-    return edges, duplicates
+        edges.append((tokens[0], tokens[1]))
+    return edges
 
 
 def parse_counts(text: str) -> dict[SynsetId, int]:
-    """Parse ``synset_id count`` lines into a count map."""
+    """Parse ``synset_id count`` lines into a count map; a synset may be
+    listed once."""
     counts: dict[SynsetId, int] = {}
     for lineno, raw, tokens in _records(text, None):
         if len(tokens) != 2:
@@ -105,6 +97,8 @@ def parse_counts(text: str) -> dict[SynsetId, int]:
             ) from None
         if count < 0:
             raise ParseError(f"negative count {count}", line=lineno)
+        if synset in counts:
+            raise ParseError(f"duplicate synset id {synset!r}", line=lineno)
         counts[synset] = count
     return counts
 
@@ -145,23 +139,25 @@ def _find_cycle_edge(
 def build_taxonomy(
     edges: list[tuple[SynsetId, SynsetId]],
     counts: dict[SynsetId, int],
-    names: dict[SynsetId, str] | None = None,
 ) -> Taxonomy:
     """Canonicalize a multi-parent hierarchy into a single-rooted tree.
 
-    Multi-parent nodes keep the parent with the smallest breadth-first depth
-    (tie: smallest parent id); the other edges land in ``dropped_edges`` as
-    (child, parent) pairs. Several root candidates are gathered under a
-    synthetic zero-count root. Synsets that appear in ``counts`` but in no
-    edge become children of the root and are listed in ``orphans``.
+    Repeated edges count once; ``duplicate_edges`` is how many repeats were
+    dropped. Multi-parent nodes keep the parent with the smallest
+    breadth-first depth (tie: smallest parent id); the other edges land in
+    ``dropped_edges`` as (child, parent) pairs. Several root candidates are
+    gathered under a synthetic zero-count root, whose reserved id may then
+    appear neither in an edge nor in ``counts``. Synsets that appear in
+    ``counts`` but in no edge become children of the root and are listed in
+    ``orphans``.
     """
     if not edges:
         raise ContractViolation("edge list is empty")
-    names = names or {}
 
+    unique_edges = dict.fromkeys(map(tuple, edges))
     parents: dict[SynsetId, list[SynsetId]] = {}
     children: dict[SynsetId, list[SynsetId]] = {}
-    for parent, child in dict.fromkeys(map(tuple, edges)):
+    for parent, child in unique_edges:
         parents.setdefault(child, []).append(parent)
         children.setdefault(parent, []).append(child)
     edge_ids = children.keys() | parents.keys()
@@ -176,7 +172,7 @@ def build_taxonomy(
     synthetic = len(root_candidates) > 1
     if synthetic:
         root = SYNTHETIC_ROOT_ID
-        if root in edge_ids:
+        if root in edge_ids or root in counts:
             raise StructureError(
                 f"reserved id {root!r} already present in the hierarchy"
             )
@@ -227,8 +223,7 @@ def build_taxonomy(
 
     nodes: dict[SynsetId, TaxonomyNode] = {
         node_id: TaxonomyNode(
-            node_id, counts.get(node_id, 0), names.get(node_id), [],
-            kept_parent.get(node_id),
+            node_id, counts.get(node_id, 0), [], kept_parent.get(node_id)
         )
         for node_id in sorted(depth.keys() | orphans)
     }
@@ -243,6 +238,7 @@ def build_taxonomy(
         dropped_edges=dropped,
         synthetic_root=synthetic,
         orphans=orphans,
+        duplicate_edges=len(edges) - len(unique_edges),
     )
 
 

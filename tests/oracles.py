@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hierkit.bottomup import PlanEntry, SubsamplePlan
+from hierkit.bottomup import SubsamplePlan
 from hierkit.errors import ContractViolation, ParseError, StructureError
 from hierkit.labelmap import LabelClass, LabelMap, from_members
 from hierkit.taxonomy import SYNTHETIC_ROOT_ID, SynsetId, Taxonomy, TaxonomyNode
@@ -394,31 +394,35 @@ def _oracle_find_cycle_edge(
 def oracle_build_taxonomy(
     edges: list[tuple[SynsetId, SynsetId]],
     counts: dict[SynsetId, int],
-    names: dict[SynsetId, str] | None = None,
 ) -> Taxonomy:
     """Canonicalize a multi-parent hierarchy into a single-rooted tree.
 
-    The library's original builder, kept verbatim: a seen-edge set, parent
-    sets, a sorted breadth-first walk and a ``min(key=...)`` per node.
+    The library's original builder: a seen-edge set, parent sets, a sorted
+    breadth-first walk and a ``min(key=...)`` per node. It gained the
+    duplicate-edge count and the reserved-id check on ``counts`` when the
+    library did.
 
+    Repeated edges count once and are counted in ``duplicate_edges``.
     Multi-parent nodes keep the parent with the smallest breadth-first depth
     (tie: smallest parent id); the other edges land in ``dropped_edges`` as
     (child, parent) pairs. Several root candidates are gathered under a
-    synthetic zero-count root. Synsets that appear in ``counts`` but in no
-    edge become children of the root and are listed in ``orphans``.
+    synthetic zero-count root, whose id may then appear in no edge and not
+    in ``counts``. Synsets that appear in ``counts`` but in no edge become
+    children of the root and are listed in ``orphans``.
     """
     if not edges:
         raise ContractViolation("edge list is empty")
-    names = names or {}
 
     parents: dict[SynsetId, set[SynsetId]] = {}
     children: dict[SynsetId, list[SynsetId]] = {}
     edge_ids: set[SynsetId] = set()
     seen_edges: set[tuple[SynsetId, SynsetId]] = set()
+    duplicates = 0
     for parent, child in edges:
         edge_ids.add(parent)
         edge_ids.add(child)
         if (parent, child) in seen_edges:
+            duplicates += 1
             continue
         seen_edges.add((parent, child))
         parents.setdefault(child, set()).add(parent)
@@ -434,7 +438,7 @@ def oracle_build_taxonomy(
     synthetic = len(root_candidates) > 1
     if synthetic:
         root = SYNTHETIC_ROOT_ID
-        if root in edge_ids:
+        if root in edge_ids or root in counts:
             raise StructureError(
                 f"reserved id {root!r} already present in the hierarchy"
             )
@@ -482,7 +486,6 @@ def oracle_build_taxonomy(
         node_id: TaxonomyNode(
             id=node_id,
             direct_count=counts.get(node_id, 0),
-            name=names.get(node_id),
             parent=kept_parent.get(node_id),
         )
         for node_id in all_ids
@@ -503,6 +506,7 @@ def oracle_build_taxonomy(
         dropped_edges=dropped,
         synthetic_root=synthetic,
         orphans=orphans,
+        duplicate_edges=duplicates,
     )
 
 
@@ -547,11 +551,7 @@ def oracle_export_trainlist(label_map, plan, images_text: str, prov: str) -> str
         if class_id is not None:
             per_class.setdefault(class_id, []).append(image_id)
 
-    targets = (
-        {entry.class_id: entry.target_count for entry in plan.entries}
-        if plan
-        else None
-    )
+    targets = plan.targets if plan else None
     lines = [f"# {prov}"]
     for class_id in sorted(per_class):
         images = per_class[class_id]
@@ -704,8 +704,6 @@ def oracle_read_labels_csv(text: str) -> dict[str, int]:
 
 def oracle_parse_isa_edges(text: str):
     edges = []
-    seen = set()
-    duplicates = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -715,13 +713,8 @@ def oracle_parse_isa_edges(text: str):
             raise ParseError(
                 f"expected 'parent_id child_id', got {raw!r}", line=lineno
             )
-        edge = (tokens[0], tokens[1])
-        if edge in seen:
-            duplicates += 1
-            continue
-        seen.add(edge)
-        edges.append(edge)
-    return edges, duplicates
+        edges.append((tokens[0], tokens[1]))
+    return edges
 
 
 def oracle_parse_counts(text: str) -> dict[SynsetId, int]:
@@ -840,7 +833,7 @@ def oracle_read_label_map(text: str) -> LabelMap:
 
 def oracle_read_plan(text: str) -> SubsamplePlan:
     """The original loop, plus the checks that each target lies in
-    [0, t_s] and each class id appears once (a scan of the entries so far)."""
+    [0, t_s] and each class id appears once (a scan of the targets so far)."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# hierkit-subsample-plan v1"):
         raise ParseError("missing subsample-plan header", line=1)
@@ -861,7 +854,7 @@ def oracle_read_plan(text: str) -> SubsamplePlan:
         raise ParseError(f"plan t_s must be >= 1, got {t_s}", line=1)
     if not 0 <= seed < 2**64:
         raise ParseError("plan seed must fit in 64 unsigned bits", line=1)
-    entries: list[PlanEntry] = []
+    targets: dict[int, int] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip() or raw.startswith("#"):
             continue
@@ -881,10 +874,10 @@ def oracle_read_plan(text: str) -> SubsamplePlan:
             )
         if line_seed != seed:
             raise ParseError("per-line seed differs from header", line=lineno)
-        if any(entry.class_id == class_id for entry in entries):
+        if any(seen == class_id for seen in targets):
             raise ParseError(f"duplicate class id {class_id}", line=lineno)
-        entries.append(PlanEntry(class_id=class_id, target_count=target))
-    return SubsamplePlan(entries=entries, t_s=t_s, seed=seed)
+        targets[class_id] = target
+    return SubsamplePlan(targets=targets, t_s=t_s, seed=seed)
 
 
 # The library's original CSV writers, kept verbatim: one ``fmt`` call per

@@ -133,7 +133,7 @@ def test_criterion_3_imagenet_metadata():
         )
     started = time.monotonic()
     with open(os.path.join(directory, "is_a.tsv"), encoding="utf-8") as fh:
-        edges, _ = parse_isa_edges(fh.read())
+        edges = parse_isa_edges(fh.read())
     with open(os.path.join(directory, "counts.tsv"), encoding="utf-8") as fh:
         counts = parse_counts(fh.read())
     taxonomy = build_taxonomy(edges, counts)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hierkit import bottomup
 from hierkit.bottomup import (
     ReorgConfig,
+    SubsamplePlan,
     bottom_up_pipeline,
     selected_indices,
     subsample_plan,
@@ -219,9 +220,9 @@ class TestSubsamplePlan:
 
     def by_count(self, label_map, plan):
         assigned = {c.class_id: c.assigned_count for c in label_map.classes}
-        for e in plan.entries:
-            assert e.target_count == min(assigned[e.class_id], plan.t_s)
-        return {assigned[e.class_id]: e.target_count for e in plan.entries}
+        for class_id, target in plan.targets.items():
+            assert target == min(assigned[class_id], plan.t_s)
+        return {assigned[c]: target for c, target in plan.targets.items()}
 
     def test_overfull_class_capped(self):
         label_map = self.make_map(3072)
@@ -267,11 +268,21 @@ class TestSubsamplePlan:
         label_map = self.make_map(3072)
         plan = subsample_plan(label_map, 2000, seed=7)
         parsed = read_plan(write_plan(plan))
-        assert [(e.class_id, e.target_count) for e in parsed.entries] == [
-            (e.class_id, e.target_count) for e in plan.entries
-        ]
+        assert list(parsed.targets.items()) == list(plan.targets.items())
         assert parsed.seed == plan.seed
         assert write_plan(parsed) == write_plan(plan)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        targets=st.dictionaries(st.integers(0, 2**40), st.integers(0, 9),
+                                max_size=6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_rewritten_plan_is_byte_identical(self, targets, seed):
+        """Classes in any order: reading a written plan and writing it again
+        gives the same bytes."""
+        text = write_plan(SubsamplePlan(targets, t_s=9, seed=seed))
+        assert write_plan(read_plan(text)) == text
 
     def test_invalid_threshold_rejected(self):
         label_map = self.make_map(10)
@@ -291,16 +302,17 @@ class TestPipeline:
         assert len(label_map.classes) == 1
         assert label_map.classes[0].assigned_count == 42
         assert label_map.unassigned == []
-        assert plan.entries[0].target_count == 42
+        assert plan.targets == {0: 42}
 
     def test_sample_tree_conservation_and_root_rule(self):
         label_map, _ = bottom_up_pipeline(
             sample_tree(), ReorgConfig(t_b=20, t_p=10, t_s=2000, seed=1)
         )
         assert [c.representative for c in label_map.classes] == ["A", "C"]
-        assert label_map.total_assigned() == 117
+        assigned = sum(c.assigned_count for c in label_map.classes)
+        assert assigned == 117
         assert label_map.total_unassigned() == 8
-        assert label_map.total_assigned() + label_map.total_unassigned() == 125
+        assert assigned + label_map.total_unassigned() == 125
 
     def test_conservation_on_random_taxonomies(self):
         for seed in range(60):
@@ -309,10 +321,8 @@ class TestPipeline:
             label_map, _ = bottom_up_pipeline(
                 t, ReorgConfig(t_b=t_b, t_p=t_p, t_s=t_s, seed=seed)
             )
-            assert (
-                label_map.total_assigned() + label_map.total_unassigned()
-                == t.total_images()
-            )
+            assigned = sum(c.assigned_count for c in label_map.classes)
+            assert assigned + label_map.total_unassigned() == t.total_images()
 
     def test_member_sets_partition_synsets(self):
         for seed in range(30):
@@ -372,7 +382,7 @@ class TestPipeline:
             label_map, plan = bottom_up_pipeline(
                 t, ReorgConfig(t_b=0, t_p=t_p, t_s=5, seed=seed)
             )
-            assert label_map.classes == [] and plan.entries == []
+            assert label_map.classes == [] and plan.targets == {}
             written = write_label_map(label_map)
             prov = label_map.provenance
             assert written == write_label_map(oracle_bottom_up(t, 0, t_p, prov))
@@ -414,10 +424,8 @@ def test_conservation_property(seed):
     label_map, _ = bottom_up_pipeline(
         t, ReorgConfig(t_b=t_b, t_p=t_p, t_s=t_s, seed=seed)
     )
-    assert (
-        label_map.total_assigned() + label_map.total_unassigned()
-        == t.total_images()
-    )
+    assigned = sum(c.assigned_count for c in label_map.classes)
+    assert assigned + label_map.total_unassigned() == t.total_images()
 
 
 def test_config_validation():

@@ -125,6 +125,26 @@ class TestValidateAndStats:
         assert outputs() == before
 
 
+    def test_repeated_edges_report(self, tmp_path, capsys):
+        isa = tmp_path / "is_a.tsv"
+        counts = tmp_path / "counts.tsv"
+        isa.write_text("R A\nR B\nR A\nA C\nR B\nB C\n")
+        counts.write_text("A 1\nC 2\nB 3\n")
+        assert run("validate", "--isa", str(isa), "--counts", str(counts)) == 0
+        assert capsys.readouterr().out.split("\n", 1)[1] == (
+            "nodes=4\nroot=R\nsynthetic_root=0\ndropped_edges=1\n"
+            "orphans=0\nduplicate_edges=2\ntotal_images=6\nok=1\n"
+        )
+
+    def test_malformed_names_is_parse_error(self, meta, tmp_path, capsys):
+        """No output shows a name, but ``--names`` still checks its file."""
+        words = tmp_path / "bad_words.tsv"
+        words.write_text("R\troot\nA alpha\n")
+        assert run("validate", "--isa", meta["isa"], "--counts",
+                   meta["counts"], "--names", str(words)) == 2
+        assert "line 2" in capsys.readouterr().err
+
+
 class TestReorg:
     def test_bottomup_writes_labelmap_and_plan(self, meta, tmp_path):
         out = tmp_path / "lm.tsv"
@@ -965,6 +985,103 @@ class TestModelCommands:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def chain_inputs(tmp_path_factory):
+    """One input file for every subcommand, made by running the chain."""
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "is_a.tsv").write_text("R A\nR B\nR C\nA A1\nA A2\nB B1\nB1 B2\n")
+    (d / "counts.tsv").write_text(
+        "A 10\nA1 3\nA2 4\nB 1\nB1 2\nB2 5\nC 100\n")
+    (d / "images.tsv").write_text("i1\tA\ni2\tC\ni3\tA1\n")
+    rng = np.random.default_rng(5)
+    frames = []
+    for i in range(4):
+        path = d / f"vid{i}.csv"
+        path.write_text(oracle_write_frames_csv(rng.dirichlet([4, 2, 1], 6)))
+        frames.append(str(path))
+    (d / "labels.csv").write_text("vid0,1\nvid1,1\nvid2,0\nvid3,0\n")
+    taxonomy = ["--isa", str(d / "is_a.tsv"), "--counts", str(d / "counts.tsv")]
+    for argv in (
+        ["reorg-bottomup", *taxonomy, "--tb", "20", "--tp", "10", "--ts", "2",
+         "--out", str(d / "lm.tsv"), "--plan-out", str(d / "plan.tsv")],
+        ["pool", "--frames", *frames, "--out", str(d / "pooled.csv")],
+        ["kernel", "--x", str(d / "pooled.csv"), "--out", str(d / "gram.csv")],
+        ["train-svm", "--gram", str(d / "gram.csv"), "--labels",
+         str(d / "labels.csv"), "--out", str(d / "model.bin")],
+        ["score", "--model", str(d / "model.bin"), "--gram-rows",
+         str(d / "gram.csv"), "--out", str(d / "scores.csv")],
+    ):
+        assert main(argv) == 0
+    scores = ["--scores", str(d / "scores.csv")]
+    return {
+        "validate": ["validate", *taxonomy],
+        "stats": ["stats", *taxonomy],
+        "reorg-bottomup": ["reorg-bottomup", *taxonomy, "--tb", "20",
+                           "--tp", "10", "--ts", "2"],
+        "reorg-topdown": ["reorg-topdown", *taxonomy, "--tt", "5",
+                          "--budget", "3"],
+        "export-trainlist": ["export-trainlist", "--labelmap",
+                             str(d / "lm.tsv"), "--images",
+                             str(d / "images.tsv"), "--plan",
+                             str(d / "plan.tsv")],
+        "pool": ["pool", "--frames", *frames],
+        "vlad": ["vlad", "--frames", *frames, "--k", "2"],
+        "kernel": ["kernel", "--x", str(d / "pooled.csv")],
+        "train-svm": ["train-svm", "--gram", str(d / "gram.csv"),
+                      "--labels", str(d / "labels.csv")],
+        "score": ["score", "--model", str(d / "model.bin"), "--gram-rows",
+                  str(d / "gram.csv")],
+        "fuse": ["fuse", *scores, *scores],
+        "eval": ["eval", *scores, "--labels", str(d / "labels.csv")],
+    }
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is a usage error (exit 1) naming
+    it, with no traceback and no temp file left behind."""
+
+    @pytest.mark.parametrize("target", ["missing_dir", "existing_dir"])
+    @pytest.mark.parametrize("subcommand", [
+        "validate", "stats", "reorg-bottomup", "reorg-topdown",
+        "export-trainlist", "pool", "vlad", "kernel", "train-svm", "score",
+        "fuse", "eval",
+    ])
+    def test_bad_out_is_usage_error(self, chain_inputs, tmp_path, capsys,
+                                    subcommand, target):
+        out = tmp_path / "out"
+        if target == "missing_dir":
+            out = tmp_path / "absent" / "out"
+        else:
+            out.mkdir()
+        code = main(chain_inputs[subcommand] + ["--out", str(out)])
+        assert code == 1
+        assert f"usage error: cannot write {out}: " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == (
+            [] if target == "missing_dir" else ["out"])
+        if target == "existing_dir":
+            assert os.listdir(out) == []
+
+    def test_bottomup_writes_out_before_plan_out(self, chain_inputs, tmp_path,
+                                                 capsys):
+        out = tmp_path / "lm.tsv"
+        code = main(chain_inputs["reorg-bottomup"] + [
+            "--out", str(out), "--plan-out", str(tmp_path / "absent" / "p")])
+        assert code == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert read_label_map(out.read_text()).classes
+        assert os.listdir(tmp_path) == ["lm.tsv"]
+
+    def test_vlad_writes_codebook_before_out(self, chain_inputs, tmp_path,
+                                             capsys):
+        out = tmp_path / "vlad.csv"
+        code = main(chain_inputs["vlad"] + [
+            "--save-codebook", str(tmp_path / "absent" / "cb"),
+            "--out", str(out)])
+        assert code == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, meta, tmp_path):
         out = tmp_path / "x.tsv"
@@ -1102,6 +1219,25 @@ class TestExitCodes:
             "validate", "--isa", meta["isa"], "--counts", str(bad)
         )
         assert code == 2
+
+    def test_repeated_synset_in_counts_is_parse_error(self, meta, tmp_path,
+                                                      capsys):
+        counts = tmp_path / "repeated.tsv"
+        counts.write_text("A 5\nC 1\nA 7\n")
+        assert run("validate", "--isa", meta["isa"],
+                   "--counts", str(counts)) == 2
+        assert "line 3: duplicate synset id 'A'" in capsys.readouterr().err
+
+    def test_reserved_root_id_in_counts_is_contract_violation(self, tmp_path,
+                                                              capsys):
+        """Under a synthetic root, ``__root__`` in counts.tsv would give
+        that zero-count root images."""
+        isa = tmp_path / "is_a.tsv"
+        counts = tmp_path / "counts.tsv"
+        isa.write_text("a b\nc d\n")
+        counts.write_text("b 3\nd 4\n__root__ 9\n")
+        assert run("validate", "--isa", str(isa), "--counts", str(counts)) == 3
+        assert "reserved id '__root__'" in capsys.readouterr().err
 
     def test_missing_file_is_parse_error(self, meta):
         code = run(
