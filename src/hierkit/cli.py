@@ -6,6 +6,8 @@ written atomically (temp file + rename), and re-running a subcommand with
 identical inputs produces byte-identical files. ``reorg-bottomup`` writes
 ``--out`` before ``--plan-out``, and ``vlad`` ``--save-codebook`` before
 ``--out``: when the second write fails, the first is already in place.
+Two outputs of one run that resolve to the same file are a usage error,
+raised before any input is read.
 The provenance ``hierkit <version> <subcommand> <flags>`` is recorded as
 follows: text reports, train lists, vector, Gram and score CSVs start with
 ``# <provenance>`` (a Gram appends `` | gamma=<value>``); label maps carry it
@@ -108,6 +110,13 @@ def _frame_matrices(ns):
         yield frames
 
 
+def _distinct_outputs(first: str, second: str | None, flags: str) -> None:
+    """A UsageError when two outputs resolve to one file: the second write
+    would replace the first."""
+    if second and os.path.realpath(first) == os.path.realpath(second):
+        raise UsageError(f"{flags} both name {second}")
+
+
 def _apply_preset(ns, keys: dict[str, str]) -> None:
     if not ns.preset:
         missing = [flag for attr, flag in keys.items() if getattr(ns, attr) is None]
@@ -164,6 +173,7 @@ def _cmd_stats(ns, prov: str) -> int:
 
 
 def _cmd_reorg_bottomup(ns, prov: str) -> int:
+    _distinct_outputs(ns.out, ns.plan_out, "--out and --plan-out")
     _apply_preset(ns, {"tb": "--tb", "tp": "--tp", "ts": "--ts"})
     taxonomy = _load_taxonomy(ns)
     config = ReorgConfig(t_b=ns.tb, t_p=ns.tp, t_s=ns.ts, seed=ns.seed)
@@ -247,6 +257,7 @@ def _cmd_vlad(ns, prov: str) -> int:
         raise UsageError("--codebook excludes --k, --seed and --save-codebook")
     if not ns.codebook and ns.k is None:
         raise UsageError("need --codebook or --k to build one")
+    _distinct_outputs(ns.out, ns.save_codebook, "--out and --save-codebook")
     ids = _frame_ids(ns.frames)
     matrices = list(_frame_matrices(ns))
     if ns.codebook:
@@ -367,11 +378,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--names", help="words.tsv: synset<TAB>name per line; "
                        "checked only, no output shows a name")
 
-    def p_validate(p):
-        taxonomy_inputs(p)
-        p.add_argument("--out")
-
-    def p_stats(p):
+    def p_report(p):
         taxonomy_inputs(p)
         p.add_argument("--out")
 
@@ -437,8 +444,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--events")
         p.add_argument("--out")
 
-    add("validate", _cmd_validate, p_validate)
-    add("stats", _cmd_stats, p_stats)
+    add("validate", _cmd_validate, p_report)
+    add("stats", _cmd_stats, p_report)
     add("reorg-bottomup", _cmd_reorg_bottomup, p_bottomup)
     add("reorg-topdown", _cmd_reorg_topdown, p_topdown)
     add("export-trainlist", _cmd_export_trainlist, p_trainlist)

@@ -5,8 +5,8 @@ Formats handled here:
 * frame features per video: CSV (one frame per line) or binary
   ``u32 frame_count, u32 dim, f32 row-major`` (little-endian)
 * id-tagged vector CSV: ``item_id,v1,...,vd``
-* labeled Gram CSV: a ``cols,<id>,...`` line, then ``row_id,<value>,...``
-  rows
+* labeled Gram CSV: a ``cols,<id>,...`` line, then a vector table whose
+  width that line fixes
 * score/label CSV: ``item_id,score`` / ``item_id,label``
 * binary containers for codebooks (magic ``HKCB``) and SVM models
   (magic ``HKSV``), each with a format-version byte
@@ -182,40 +182,54 @@ def _records(source: str | TextIO, sep: str | None = ","):
         first += len(lines)
 
 
-def _row_text(row: np.ndarray) -> str:
-    """One matrix row as CSV values: ``fmt`` of each, in one pass."""
-    return ",".join(map(repr, row.tolist()))
-
-
-def _float_rows(text: str, id_fields: int,
-                kind: str) -> tuple[list[str], np.ndarray]:
-    """Equal-width float rows, each after ``id_fields`` leading ids."""
+def _float_rows(records: Iterable[tuple[int, str, list[str]]],
+                id_fields: int, kind: str,
+                width: int | None = None) -> tuple[list[str], np.ndarray]:
+    """Equal-width float rows from ``_records``, each after ``id_fields``
+    leading ids. A ``width`` given up front is checked before a row's
+    values are parsed; otherwise the first row sets it, and each later row
+    is checked once its values are parsed."""
     ids: list[str] = []
     rows: list[list[float]] = []
-    width = None
-    for lineno, raw, tokens in _records(text):
-        if len(tokens) <= id_fields:
+    fixed = width is not None
+    for lineno, raw, tokens in records:
+        count = len(tokens) - id_fields
+        if fixed and count != width:
+            raise ParseError(f"row has {count} values, expected {width}",
+                             line=lineno)
+        if count < 1:
             raise ParseError(
                 f"expected 'item_id,v1,...', got {raw!r}", line=lineno
             )
-        values = _floats(tokens[id_fields:], lineno)
+        rows.append(_floats(tokens[id_fields:], lineno))
         if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ParseError(
-                f"row has {len(values)} values, expected {width}", line=lineno
-            )
+            width = count
+        elif count != width:
+            raise ParseError(f"row has {count} values, expected {width}",
+                             line=lineno)
         ids.extend(tokens[:id_fields])
-        rows.append(values)
     if not rows:
         raise ParseError(f"no {kind} rows found")
     return ids, np.asarray(rows, dtype=np.float64)
 
 
+def _table_text(ids: list[str], values: np.ndarray, header: str | None,
+                *head: str) -> str:
+    """The one row writer: the ``# header`` line, the ``head`` lines, then
+    an ``id,v1,...,vd`` line per row, each value ``fmt``-ed in one pass."""
+    lines = [f"# {header}"] if header else []
+    lines.extend(head)
+    lines.extend(
+        item_id + "," + ",".join(map(repr, row.tolist()))
+        for item_id, row in zip(ids, np.asarray(values, dtype=np.float64))
+    )
+    return "\n".join(lines) + "\n"
+
+
 # -- frame matrices ---------------------------------------------------------
 
 def read_frames_csv(text: str) -> np.ndarray:
-    return _float_rows(text, 0, "frame")[1]
+    return _float_rows(_records(text), 0, "frame")[1]
 
 
 def read_frames_bin(data: bytes) -> np.ndarray:
@@ -259,7 +273,7 @@ def _line_edges(text: str, parts: int) -> list[int]:
 
 
 def _vector_rows(text: str, lo: int, hi: int) -> tuple[list[str], np.ndarray]:
-    return _float_rows(text[lo:hi], 1, "vector")
+    return _float_rows(_records(text[lo:hi]), 1, "vector")
 
 
 def read_vectors_csv(text: str) -> tuple[list[str], np.ndarray]:
@@ -274,7 +288,7 @@ def read_vectors_csv(text: str) -> tuple[list[str], np.ndarray]:
     except ParseError:
         chunks = []
     if len({rows.shape[1] for _, rows in chunks}) != 1:
-        chunks = [_float_rows(text, 1, "vector")]
+        chunks = [_float_rows(_records(text), 1, "vector")]
     ids = [item for chunk_ids, _ in chunks for item in chunk_ids]
     vectors = np.concatenate([rows for _, rows in chunks])
     if len(set(ids)) != len(ids):
@@ -284,53 +298,32 @@ def read_vectors_csv(text: str) -> tuple[list[str], np.ndarray]:
 
 def write_vectors_csv(ids: list[str], vectors: np.ndarray,
                       header: str | None = None) -> str:
-    arr = np.asarray(vectors, dtype=np.float64)
-    lines = [f"# {header}"] if header else []
-    lines.extend(
-        item_id + "," + _row_text(row) for item_id, row in zip(ids, arr)
-    )
-    return "\n".join(lines) + "\n"
+    return _table_text(ids, vectors, header)
 
 
 # -- labeled Gram matrices --------------------------------------------------
 
 def write_gram_csv(row_ids: list[str], col_ids: list[str],
                    values: np.ndarray, header: str | None = None) -> str:
-    arr = np.asarray(values, dtype=np.float64)
-    lines = [f"# {header}"] if header else []
-    lines.append("cols," + ",".join(col_ids))
-    lines.extend(
-        row_id + "," + _row_text(row) for row_id, row in zip(row_ids, arr)
-    )
-    return "\n".join(lines) + "\n"
+    return _table_text(row_ids, values, header, "cols," + ",".join(col_ids))
 
 
 def read_gram_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
-    row_ids: list[str] = []
-    col_ids: list[str] | None = None
-    rows: list[list[float]] = []
-    for lineno, raw, tokens in _records(text):
-        if col_ids is None:
-            if tokens[0] != "cols" or len(tokens) < 2:
-                raise ParseError(
-                    "first data line must be 'cols,<id>,...'", line=lineno
-                )
-            col_ids = tokens[1:]
-            continue
-        if len(tokens) != len(col_ids) + 1:
-            raise ParseError(
-                f"row has {len(tokens) - 1} values, expected {len(col_ids)}",
-                line=lineno,
-            )
-        row_ids.append(tokens[0])
-        rows.append(_floats(tokens[1:], lineno))
-    if col_ids is None or not rows:
+    """Row ids, column ids and values of a Gram CSV: a vector table whose
+    width is fixed by its ``cols`` line."""
+    records = _records(text)
+    lineno, _, cols = next(records, (None, None, None))
+    if cols is None:
         raise ParseError("no gram rows found")
+    if cols[0] != "cols" or len(cols) < 2:
+        raise ParseError("first data line must be 'cols,<id>,...'", line=lineno)
+    col_ids = cols[1:]
+    row_ids, values = _float_rows(records, 1, "gram", len(col_ids))
     if len(set(row_ids)) != len(row_ids):
         raise ParseError("duplicate row ids in gram file")
     if len(set(col_ids)) != len(col_ids):
         raise ParseError("duplicate column ids in gram file")
-    return row_ids, col_ids, np.asarray(rows, dtype=np.float64)
+    return row_ids, col_ids, values
 
 
 # -- scores and labels ------------------------------------------------------

@@ -10,7 +10,7 @@ edge lines, are retained for auditability.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .errors import ContractViolation, ParseError, StructureError
@@ -266,7 +266,7 @@ def stats(taxonomy: Taxonomy) -> StatsReport:
     singletons = 0
     single_child = 0
     max_class: tuple[SynsetId, int] | None = None
-    max_bucket = 0
+    by_bits: Counter[int] = Counter()  # bit length -> classes
     for node_id in sorted(nodes):
         node = nodes[node_id]
         c = node.direct_count
@@ -277,13 +277,7 @@ def stats(taxonomy: Taxonomy) -> StatsReport:
             single_child += 1
         if max_class is None or c > max_class[1]:
             max_class = (node_id, c)
-        max_bucket = max(max_bucket, c.bit_length())
-
-    bounds = [0] + [1 << i for i in range(max_bucket)]
-    hist = {b: 0 for b in bounds}
-    for node in nodes.values():
-        c = node.direct_count
-        hist[0 if c == 0 else 1 << (c.bit_length() - 1)] += 1
+        by_bits[c.bit_length()] += 1
 
     depths = taxonomy.depths()
     per_depth = [0] * (max(depths.values()) + 1)
@@ -294,7 +288,9 @@ def stats(taxonomy: Taxonomy) -> StatsReport:
     return StatsReport(
         class_count=class_count,
         total_images=total,
-        count_histogram=[(b, hist[b]) for b in bounds],
+        # counts of b bits lie in [2**b // 2, 2**b)
+        count_histogram=[((1 << b) // 2, by_bits[b])
+                         for b in range(max(by_bits) + 1)],
         per_depth_class_counts=per_depth,
         single_child_chain_count=single_child,
         singleton_classes=singletons,

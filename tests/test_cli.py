@@ -1,8 +1,10 @@
 """CLI subcommands: happy paths, exit codes, determinism."""
 
+import argparse
 import hashlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import hierkit
 from hierkit import __version__
-from hierkit.cli import main
+from hierkit.cli import _build_parser, main
 from hierkit.encoding import Codebook
 from hierkit.io import (
     fmt,
@@ -206,6 +208,18 @@ class TestReorg:
         assert len(label_map.classes) == 3
         assert label_map.provenance.endswith("topdown t_t=5 budget=3")
 
+    def test_topdown_warns_about_short_classes(self, meta, tmp_path, capsys):
+        out = tmp_path / "lm.tsv"
+        assert run(
+            "reorg-topdown", "--isa", meta["isa"], "--counts", meta["counts"],
+            "--tt", "3", "--budget", "10", "--out", str(out),
+        ) == 0
+        assert capsys.readouterr().err.splitlines()[:2] == [
+            "warning: class B: effective count 1 < t_t=3",
+            "warning: class B1: effective count 2 < t_t=3",
+        ]
+        assert out.exists()
+
     def test_topdown_preset_caps_at_eligible(self, meta, tmp_path):
         out = tmp_path / "lm.tsv"
         code = run(
@@ -264,10 +278,12 @@ class TestTrainList:
         (r"rule=\S+", "rule=bogus-v9"),
         (r"t_s=\d+", "t_s=-4"),
         (r"t_s=\d+", "t_s=0"),
+        (r"t_s=\d+", "t_s=x"),
         (r"^(0\t\d+\t9\n)", r"\1\1"),          # class id listed twice
         (r"^0\t\d+\t", "0\t4\t"),               # target above t_s=3
     ], ids=["seed_field_x", "negative_target", "negative_header_seed",
-            "unknown_rule", "negative_t_s", "zero_t_s", "duplicate_class",
+            "unknown_rule", "negative_t_s", "zero_t_s", "non_numeric_t_s",
+            "duplicate_class",
             "target_above_t_s"])
     def test_malformed_plan_is_parse_error(self, meta, tmp_path, capsys,
                                            pattern, repl):
@@ -411,8 +427,9 @@ class TestTrainListBytes:
         "0\tA\t3\tA\n1\tB\t2\tB,A\n",
         "0\tA\t-5\tA\n",
         "0\tA\t3\tA\n#UNASSIGNED\nD\t-3\n",
+        "0\tA\t3\tA\n#UNASSIGNED\nD\tx\n",
     ], ids=["negative_id", "duplicate_id", "shared_member", "negative_count",
-            "negative_unassigned_count"])
+            "negative_unassigned_count", "non_numeric_unassigned_count"])
     @pytest.mark.parametrize("with_plan", [False, True], ids=["all", "plan"])
     def test_invalid_label_map_is_parse_error(self, tmp_path, capsys, body,
                                               with_plan):
@@ -1082,6 +1099,26 @@ class TestUnwritableOutput:
         assert os.listdir(tmp_path) == []
 
 
+    @pytest.mark.parametrize("subcommand,first,second", [
+        ("reorg-bottomup", "--out", "--plan-out"),
+        ("vlad", "--out", "--save-codebook"),
+    ], ids=["reorg-bottomup", "vlad"])
+    def test_colliding_outputs_are_usage_error(self, chain_inputs, tmp_path,
+                                               capsys, subcommand, first,
+                                               second):
+        """Two outputs that resolve to one file: exit 1 naming it, raised
+        before any input is read, and nothing written."""
+        same = f"{tmp_path}/./same"
+        argv = chain_inputs[subcommand] + [
+            first, str(tmp_path / "same"), second, same]
+        assert main(argv) == 1
+        assert (f"usage error: {first} and {second} both name {same}"
+                in capsys.readouterr().err)
+        argv[2] = str(tmp_path / "absent")  # the first input file
+        assert main(argv) == 1
+        assert os.listdir(tmp_path) == []
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, meta, tmp_path):
         out = tmp_path / "x.tsv"
@@ -1245,6 +1282,56 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_colliding_frame_basenames_are_contract_violation(self, videos,
+                                                              tmp_path,
+                                                              capsys):
+        other = tmp_path / "other"
+        other.mkdir()
+        twin = other / os.path.basename(videos["paths"][0])
+        twin.write_text(oracle_write_frames_csv(np.full((2, 3), 0.5)))
+        out = tmp_path / "pooled.csv"
+        assert run("pool", "--frames", *videos["paths"], str(twin),
+                   "--out", str(out)) == 3
+        assert "frame file basenames collide" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_binary_frames_declaring_no_frames_is_parse_error(self, tmp_path,
+                                                              capsys):
+        frames = tmp_path / "empty.bin"
+        frames.write_bytes((0).to_bytes(4, "little") + (3).to_bytes(4, "little"))
+        out = tmp_path / "pooled.csv"
+        assert run("pool", "--frames", str(frames), "--out", str(out)) == 2
+        assert "declares an empty matrix" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gram,labels,message", [
+        ("cols,a,b\nb,1.0,0.5\na,0.5,1.0\n", "a,1\nb,0\n",
+         "training gram must have matching row/col ids"),
+        ("cols,a,b\na,1.0,0.5\nb,0.5,1.0\n", "a,1\n",
+         "labels missing for 1 items, e.g. 'b'"),
+    ], ids=["row_ids_differ_from_cols", "labels_missing"])
+    def test_train_svm_contract_violations(self, tmp_path, capsys, gram,
+                                           labels, message):
+        (tmp_path / "gram.csv").write_text(gram)
+        (tmp_path / "labels.csv").write_text(labels)
+        model = tmp_path / "model.bin"
+        assert run("train-svm", "--gram", str(tmp_path / "gram.csv"),
+                   "--labels", str(tmp_path / "labels.csv"),
+                   "--out", str(model)) == 3
+        assert f"contract violation: {message}" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--labels", "labels.csv"], "--scores and --labels must be paired"),
+        (["--events", "E1,E2"], "--events count must match --scores count"),
+    ], ids=["unpaired", "events_count"])
+    def test_eval_usage_errors(self, chain_inputs, tmp_path, capsys, extra,
+                               message):
+        out = tmp_path / "report.txt"
+        assert main(chain_inputs["eval"] + extra + ["--out", str(out)]) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_frames_file_is_parse_error(self, tmp_path):
         code = run(
             "pool", "--frames", str(tmp_path / "absent.csv"),
@@ -1358,3 +1445,31 @@ class TestExitCodes:
         )
         assert code == 2
         assert not model.exists()
+
+
+def _readme_commands():
+    """Every ``hierkit ...`` command in README's ``sh`` blocks, as the
+    argv after ``hierkit``: ``\\`` continuations joined, ``#`` comments
+    dropped."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        blocks = re.findall(r"^```sh\n(.*?)^```", handle.read(),
+                            re.MULTILINE | re.DOTALL)
+    return [
+        argv[1:] for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if (argv := shlex.split(line, comments=True))[:1] == ["hierkit"]
+    ]
+
+
+def test_readme_commands_parse():
+    """Every documented command parses, and every subcommand has one; none
+    is run."""
+    parser = _build_parser()
+    commands = _readme_commands()
+    for argv in commands:
+        parser.parse_args(argv)
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(subcommands)
