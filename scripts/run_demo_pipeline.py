@@ -7,6 +7,11 @@ event detector: synthetic videos are encoded by average pooling and by VLAD,
 each channel is scored with a chi-squared kernel SVM, and the channels are
 fused late. Per-event AP and mAP are printed for both channels and the
 fusion.
+
+The VLAD channel scores abs(vlad): the chi-squared kernel needs
+non-negative inputs, and signed VLAD vectors cannot reach the `kernel`
+subcommand until it gains a kernel for signed vectors (open item 4 of
+ROADMAP.md).
 """
 
 import argparse

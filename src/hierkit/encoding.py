@@ -9,7 +9,10 @@ independent of the degree of parallelism upstream.
 Nearest centroids come from one matrix product, |a|^2 + |b|^2 - 2 a.b, and
 are confirmed by the exact blocked distances wherever rounding could decide
 them (see _screen); every distance an output reads is the exact one, so
-neither the BLAS nor its thread count changes an output bit.
+neither the BLAS nor its thread count changes an output bit. Every exact
+distance comes from one blocked kernel (_pairwise_sq_dists), and every
+per-cluster sum from one stable grouping (_clusters) that keeps row order,
+and so the summation bits.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ KMEANS_TOL = 1e-6
 # Lloyd's objective never rises; a rise beyond this fraction of it is more
 # than the rounding of a sum of n float64 costs, and is reported.
 KMEANS_RISE_TOL = 1e-9
-# Elements in the one scratch block each _pairwise_sq_dists or
-# _assigned_sq_dists call reuses for its row blocks (512 KiB of float64).
+# Elements in the one scratch block each _pairwise_sq_dists call reuses
+# for its row blocks (512 KiB of float64).
 # Measured on a 2-vCPU Xeon over n x k x d from 400x64x128 to 4800x64x128
 # and 2000x64x1000: 2**15 and 2**16 were fastest and within noise of each
 # other; 2**12 and 2**20 slower.
@@ -131,7 +134,7 @@ def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
     prev_objective = np.inf
     for _ in range(KMEANS_MAX_ITER):
         assign = _nearest(data, centroids)
-        point_cost = _assigned_sq_dists(data, centroids, assign)
+        point_cost = _point_costs(data, centroids, assign)
 
         sizes = np.bincount(assign, minlength=k)
         for cluster in np.flatnonzero(sizes == 0):
@@ -151,9 +154,9 @@ def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
             )
         prev_objective = objective
 
-        new_centroids = np.empty_like(centroids)
-        for cluster in range(k):
-            new_centroids[cluster] = data[assign == cluster].mean(axis=0)
+        new_centroids = np.array(
+            [data[rows].mean(axis=0) for rows in _clusters(assign, k)]
+        )
         movement = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
         if movement < KMEANS_TOL:
@@ -270,23 +273,21 @@ def _nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return assign
 
 
-def _assigned_sq_dists(
+def _clusters(assign: np.ndarray, k: int) -> list[np.ndarray]:
+    """Each of the k clusters' row indices, ascending, from one stable sort:
+    the rows, and so the bits of their sums, of a mask assign == cluster."""
+    edges = np.cumsum(np.bincount(assign, minlength=k))[:-1]
+    return np.split(np.argsort(assign, kind="stable"), edges)
+
+
+def _point_costs(
     a: np.ndarray, b: np.ndarray, assign: np.ndarray
 ) -> np.ndarray:
-    """_pairwise_sq_dists(a, b)[i, assign[i]] for every row i, bit for bit.
-
-    Rows go in blocks of at most KMEANS_BLOCK elements, or one row, in one
-    scratch block the call reuses, so no (len(a), d) temporary is made.
-    """
-    n, d = a.shape
-    out = np.empty(n, dtype=np.float64)
-    step = max(1, KMEANS_BLOCK // d)
-    scratch = np.empty((min(step, n), d), dtype=np.float64)
-    for i in range(0, n, step):
-        diff = scratch[:min(step, n - i)]
-        np.subtract(a[i:i + step], b[assign[i:i + step]], out=diff)
-        _sum_squares(diff, out[i:i + step])
-    return out
+    """_pairwise_sq_dists(a, b)[i, assign[i]] for every row i, bit for bit."""
+    cost = np.empty(a.shape[0], dtype=np.float64)
+    for c, rows in enumerate(_clusters(assign, b.shape[0])):
+        cost[rows] = _pairwise_sq_dists(a, b[c:c + 1], rows)[:, 0]
+    return cost
 
 
 def _pairwise_sq_dists(
@@ -348,12 +349,8 @@ def vlad_encode(frames, codebook: Codebook) -> np.ndarray:
     k, d = codebook.k, codebook.dim
     assign = _nearest(arr, codebook.centroids)
     blocks = np.zeros((k, d), dtype=np.float64)
-    for cluster in range(k):
-        mask = assign == cluster
-        if np.any(mask):
-            blocks[cluster] = (
-                arr[mask] - codebook.centroids[cluster]
-            ).sum(axis=0)
+    for cluster, rows in enumerate(_clusters(assign, k)):
+        blocks[cluster] = (arr[rows] - codebook.centroids[cluster]).sum(axis=0)
     flat = blocks.reshape(k * d)
     flat = np.sign(flat) * np.sqrt(np.abs(flat))
     norm = float(np.sqrt(np.dot(flat, flat)))

@@ -45,8 +45,6 @@ class SvmModel:
 
 def _as_matrix(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ContractViolation(f"{name} must be non-empty 2-D")
     if not np.all(np.isfinite(arr)):

@@ -1332,6 +1332,27 @@ class TestExitCodes:
         assert f"usage error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eval_item_without_label_is_contract_violation(
+            self, chain_inputs, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("vid0,1\nvid1,1\nvid2,0\n")
+        argv = list(chain_inputs["eval"])
+        argv[argv.index("--labels") + 1] = str(labels)
+        out = tmp_path / "report.txt"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert ("contract violation: no label for item 'vid3' in event 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_missing_model_is_parse_error(self, chain_inputs, tmp_path,
+                                          capsys):
+        argv = list(chain_inputs["score"])
+        argv[argv.index("--model") + 1] = str(tmp_path / "absent.bin")
+        out = tmp_path / "scores.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_frames_file_is_parse_error(self, tmp_path):
         code = run(
             "pool", "--frames", str(tmp_path / "absent.csv"),

@@ -16,11 +16,11 @@ from hierkit import encoding
 from hierkit.encoding import (
     KMEANS_BLOCK,
     Codebook,
-    _assigned_sq_dists,
     _canonical_rows,
     _nearest,
     _pairwise_sq_dists,
     _plus_plus_init,
+    _point_costs,
     as_frame_matrix,
     average_pool,
     kmeans_fit,
@@ -249,7 +249,7 @@ class TestPairwiseSqDists:
         rows = rng.permutation(n)[:n // 2 + 1]
         assert _pairwise_sq_dists(a, b, rows).tobytes() == want[rows].tobytes()
         assign = rng.integers(k, size=n)
-        assert (_assigned_sq_dists(a, b, assign).tobytes()
+        assert (_point_costs(a, b, assign).tobytes()
                 == want[np.arange(n), assign].tobytes())
 
     @pytest.mark.parametrize("k,d", [(64, 128), (5, 3), (7, 1)])
@@ -262,7 +262,7 @@ class TestPairwiseSqDists:
         k, d = 40, KMEANS_BLOCK // 40 + 1
         assert k * d > KMEANS_BLOCK
         self.check(3, k, d)
-        self.check(3, 2, KMEANS_BLOCK + 1)  # one row per assigned-cost block
+        self.check(3, 2, KMEANS_BLOCK + 1)  # one row per point-cost block
 
     def test_single_row(self):
         self.check(1, 64, 128)
@@ -279,7 +279,7 @@ class TestPairwiseSqDists:
             alone = a[i:i + 1]
             assert (_pairwise_sq_dists(alone, b).tobytes()
                     == whole[i].tobytes()
-                    == _assigned_sq_dists(alone, b, np.zeros(1, int)).tobytes())
+                    == _point_costs(alone, b, np.zeros(1, int)).tobytes())
 
     def test_oracle_gives_same_codebook_and_vlad(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -431,6 +431,11 @@ class TestKmeans:
         with pytest.raises(ContractViolation):
             kmeans_fit(np.zeros((2, 3)), k=5, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ContractViolation, match="k must be >= 1"):
+            kmeans_fit(np.eye(3), k=k, seed=0)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_u64_rejected(self, seed):
         with pytest.raises(ContractViolation, match="64 unsigned bits"):
@@ -472,7 +477,7 @@ class TestKmeans:
                                                    warns):
         # each Lloyd round's point costs are scaled so that its objective
         # is the last one's times (1 + rise); assignments do not change
-        real = encoding._assigned_sq_dists
+        real = encoding._point_costs
         reported = []
 
         def creeping(a, b, assign):
@@ -481,7 +486,7 @@ class TestKmeans:
             reported.append(reported[-1] * (1.0 + rise) if reported else true)
             return cost * (reported[-1] / true)
 
-        monkeypatch.setattr(encoding, "_assigned_sq_dists", creeping)
+        monkeypatch.setattr(encoding, "_point_costs", creeping)
         # objective ~1e12: a rise of 1e-11 of it is far above an absolute
         # 1e-9, yet only rounding
         data = np.random.default_rng(7).random((40, 3)) * 1e6
@@ -496,11 +501,11 @@ class TestKmeans:
         script = (
             "import warnings, numpy as np\n"
             "import hierkit.encoding as enc\n"
-            "real, calls = enc._assigned_sq_dists, []\n"
+            "real, calls = enc._point_costs, []\n"
             "def rising(a, b, assign):\n"
             "    calls.append(None)\n"
             "    return real(a, b, assign) * 10.0 ** len(calls)\n"
-            "enc._assigned_sq_dists = rising\n"
+            "enc._point_costs = rising\n"
             "with warnings.catch_warnings(record=True) as seen:\n"
             "    warnings.simplefilter('always')\n"
             "    enc.kmeans_fit(np.random.default_rng(7).random((40, 3)), 3, 0)\n"

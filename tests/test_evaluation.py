@@ -164,6 +164,16 @@ class TestLateFuse:
         with pytest.raises(ContractViolation):
             late_fuse([first, second])
 
+    def test_no_channels_rejected(self):
+        with pytest.raises(ContractViolation, match="nothing to fuse"):
+            late_fuse([])
+
+    def test_channels_with_different_positives_rejected(self):
+        first = make_scored([("a", 0.1), ("b", 0.2)], {"a"})
+        second = make_scored([("a", 0.1), ("b", 0.2)], {"b"})
+        with pytest.raises(ContractViolation, match="disagree on item labels"):
+            late_fuse([first, second])
+
     def test_wide_channel_does_not_dominate(self):
         wide = make_scored([("a", 100.0), ("b", -100.0), ("c", 0.0)], {"a"})
         narrow = make_scored([("a", -1.0), ("b", 0.5), ("c", 1.0)], {"a"})

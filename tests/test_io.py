@@ -708,11 +708,13 @@ def test_no_public_name_serves_only_tests():
     """Every public top-level function or class in the package, and every
     public method or property of a public class, is used by the package
     itself (``__init__`` re-exports aside), the scripts, the benchmark, or
-    the console entry point; tests do not count."""
+    the console entry point; every private top-level function or class is
+    used by the package itself. Tests do not count."""
     package = os.path.dirname(hierkit.__file__)
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     modules = sorted(n for n in os.listdir(package) if n.endswith(".py"))
     users = [os.path.join(package, n) for n in modules if n != "__init__.py"]
+    used_inside = set().union(*map(_names_used, users))
     for folder in ("scripts", "perfbench"):
         users.extend(os.path.join(repo, folder, n)
                      for n in sorted(os.listdir(os.path.join(repo, folder)))
@@ -737,6 +739,11 @@ def test_no_public_name_serves_only_tests():
             and not member.name.startswith("_")
         )
         unused.extend(label for label, node in public if node.name not in used)
+        unused.extend(
+            f"{name}:{node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and node.name not in used_inside
+        )
     assert unused == []
 
 

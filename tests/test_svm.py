@@ -41,6 +41,17 @@ def stall_set(n, seed):
     return chi2_kernel(x)[0], y
 
 
+def small_problem(seed):
+    """Chi2 Gram of 4 to 15 random histograms of 2 to 9 bins, gamma by the
+    bandwidth heuristic, and random labels."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 16)), int(rng.integers(2, 10))
+    x = rng.dirichlet(np.ones(d), size=n)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    assert 0 < np.sum(y > 0) < n
+    return chi2_kernel(x)[0], y
+
+
 def toy_set(seed=0, n_per=10):
     """Two tight histogram clusters on the 2-simplex, linearly separated."""
     rng = np.random.default_rng(seed)
@@ -93,6 +104,11 @@ class TestChi2Kernel:
     def test_negative_components_rejected(self):
         with pytest.raises(ContractViolation):
             chi2_kernel(np.array([[0.5, -0.5]]), gamma=1.0)
+
+    def test_dimension_mismatch_rejected(self):
+        x, y = np.full((2, 3), 0.5), np.full((2, 4), 0.5)
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            chi2_kernel(x, y, gamma=1.0)
 
     def test_gamma_required(self, monkeypatch):
         """Rows against another set need the training gamma; a bad gamma is
@@ -391,6 +407,69 @@ class TestTrainSvm:
             cut = train_kernel_svm(gram, y, C=C)
         assert oracle_duality_gap(gram, y, cut.alpha, C) > bound(cut)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bias_without_free_alpha_comes_from_final_pair(self, seed):
+        """With C = 1e-3 every alpha ends on a bound, so no free alpha sets
+        the bias: it is the midpoint of the final violating pair."""
+        C = 1e-3
+        gram, y = small_problem(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_kernel_svm(gram, y, C=C)
+        alpha = model.alpha
+        assert not np.any((alpha > 1e-8) & (alpha < C - 1e-8))
+        assert kkt_violation(model, gram) <= svm.KKT_TOL
+        neg_e = y - gram @ model.coef
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        down = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        midpoint = (neg_e[up].max() + neg_e[down].min()) / 2.0
+        assert model.bias == pytest.approx(midpoint, rel=0.0, abs=1e-9)
+        alpha_star, bias_star = oracle_svm_dual(gram, y, C=C)
+        np.testing.assert_allclose(
+            svm_score(model, gram), gram @ (alpha_star * y) + bias_star,
+            atol=1e-3,
+        )
+
+    @pytest.mark.parametrize("seed", [124, 379, 398])
+    def test_alpha_j_clipped_above_zero_puts_alpha_i_on_its_bound(
+            self, monkeypatch, seed):
+        """A lower bound above 0 for alpha_j comes from alpha_i's box; an
+        update that clips alpha_j there sets alpha_i exactly to 0 (labels
+        differ) or C (labels agree). On these seeds alpha_i computed from
+        the step lands a few ulps off that bound, and the fit stalls."""
+        C = 1.0
+        gram, y = small_problem(seed)
+        calls = []
+        real_pair = svm._violating_pair
+
+        def recorded(labels, f0, alpha, c):
+            pair = real_pair(labels, f0, alpha, c)
+            calls.append((alpha.copy(), pair[0], pair[1]))
+            return pair
+
+        monkeypatch.setattr(svm, "_violating_pair", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_kernel_svm(gram, y, C=C)
+        clipped = 0
+        for (before, i, j), (after, _, _) in zip(calls, calls[1:]):
+            if np.array_equal(before, after):
+                continue
+            if y[i] != y[j]:
+                low, on_bound = max(0.0, before[j] - before[i]), 0.0
+            else:
+                low, on_bound = max(0.0, before[i] + before[j] - C), C
+            if after[j] == low > 0.0:
+                clipped += 1
+                assert after[i] == on_bound
+        assert clipped > 0
+        assert kkt_violation(model, gram) <= svm.KKT_TOL
+        alpha_star, bias_star = oracle_svm_dual(gram, y, C=C)
+        np.testing.assert_allclose(
+            svm_score(model, gram), gram @ (alpha_star * y) + bias_star,
+            atol=1e-3,
+        )
+
     def test_update_that_moves_nothing_stops_with_warning(self, monkeypatch):
         """With a zero tolerance the fit reaches pairs whose step is below
         one ulp; the first update that changes neither alpha ends it."""
@@ -427,6 +506,40 @@ class TestTrainSvm:
     def test_bad_labels_rejected(self):
         with pytest.raises(ContractViolation):
             train_kernel_svm(np.eye(2), np.array([1.0, 0.0]), C=1.0)
+
+    @pytest.mark.parametrize("gram,labels,message", [
+        (np.ones((2, 3)), [1.0, -1.0], "gram must be square"),
+        (np.eye(3), [1.0, -1.0], "labels length"),
+        (np.eye(2), [1.0, -1.0, 1.0], "labels length"),
+    ], ids=["non_square", "short_labels", "long_labels"])
+    def test_mismatched_problem_rejected(self, gram, labels, message):
+        with pytest.raises(ContractViolation, match=message):
+            train_kernel_svm(gram, np.array(labels), C=1.0)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.array([0.5, 0.5]), "must be non-empty 2-D"),
+    (np.full((1, 2, 2), 0.5), "must be non-empty 2-D"),
+    (np.empty((0, 2)), "must be non-empty 2-D"),
+    (np.empty((2, 0)), "must be non-empty 2-D"),
+    (np.array([[0.5, np.nan], [0.5, 0.5]]), "contains non-finite values"),
+    (np.array([[0.5, np.inf], [0.5, 0.5]]), "contains non-finite values"),
+], ids=["1d", "3d", "no_rows", "no_columns", "nan", "inf"])
+def test_every_entry_point_rejects_a_malformed_matrix(bad, message):
+    """A 1-D array is no row: every matrix input must be 2-D, non-empty
+    and finite."""
+    good = np.full((2, 2), 0.5)
+    model = SvmModel(alpha=np.zeros(2), labels=np.array([1.0, -1.0]),
+                     bias=0.0, C=1.0)
+    for call in (
+        lambda: chi2_distances(bad),
+        lambda: chi2_distances(good, bad),
+        lambda: train_kernel_svm(bad, model.labels, C=1.0),
+        lambda: kkt_violation(model, bad),
+        lambda: svm_score(model, bad),
+    ):
+        with pytest.raises(ContractViolation, match=message):
+            call()
 
 
 class TestScore:
