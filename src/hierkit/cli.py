@@ -145,7 +145,7 @@ def _cmd_validate(ns, prov: str) -> int:
         f"total_images={taxonomy.total_images()}",
         "ok=1",
     ]
-    _emit(getattr(ns, "out", None), "\n".join(lines) + "\n")
+    _emit(ns.out, "\n".join(lines) + "\n")
     return 0
 
 

@@ -12,7 +12,8 @@ them (see _screen); every distance an output reads is the exact one, so
 neither the BLAS nor its thread count changes an output bit. Every exact
 distance comes from one blocked kernel (_pairwise_sq_dists), and every
 per-cluster sum from one stable grouping (_clusters) that keeps row order,
-and so the summation bits.
+and so the summation bits. One check, as_matrix, admits every matrix
+here and in svm.
 """
 
 from __future__ import annotations
@@ -52,6 +53,21 @@ class Codebook:
         return int(self.centroids.shape[1])
 
 
+def as_matrix(x, name: str) -> tuple[np.ndarray, float, float]:
+    """``x`` as a non-empty, finite 2-D float64 array with its least and
+    greatest value: the matrix check of encoding and svm. min and max meet
+    any NaN or infinity and, unlike np.isfinite, make no (n, d) temporary."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
+        raise ContractViolation(
+            f"{name} must be non-empty 2-D, got shape {arr.shape}"
+        )
+    low, high = float(arr.min()), float(arr.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ContractViolation(f"{name} contains non-finite values")
+    return arr, low, high
+
+
 def as_frame_matrix(frames) -> np.ndarray:
     """Validate and convert a frame stack to a float64 (n, d) array.
 
@@ -59,16 +75,7 @@ def as_frame_matrix(frames) -> np.ndarray:
     rows, summed over all rows, stay finite: 4 * n * d * max|x|^2 must not
     overflow.
     """
-    arr = np.asarray(frames, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ContractViolation(
-            f"frame matrix must be non-empty 2-D, got shape {arr.shape}"
-        )
-    # min and max, unlike np.abs or np.isfinite, make no (n, d) temporary;
-    # a NaN or infinity reaches one of them
-    low, high = float(arr.min()), float(arr.max())
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise ContractViolation("frame matrix contains non-finite values")
+    arr, low, high = as_matrix(frames, "frame matrix")
     peak = max(high, -low)
     if 4.0 * arr.size * peak * peak == math.inf:
         raise ContractViolation(

@@ -343,9 +343,8 @@ def read_scores_csv(text: str) -> list[tuple[str, float]]:
 
 def write_scores_csv(scores: list[tuple[str, float]],
                      header: str | None = None) -> str:
-    lines = [f"# {header}"] if header else []
-    lines.extend(f"{item_id},{fmt(score)}" for item_id, score in scores)
-    return "\n".join(lines) + "\n"
+    return _table_text([i for i, _ in scores], [[s] for _, s in scores],
+                       header)
 
 
 def read_labels_csv(text: str) -> dict[str, int]:

@@ -3,7 +3,7 @@
 The solver works on a precomputed Gram matrix and runs pairwise updates on
 the most violating pair of dual variables until the maximal KKT violation
 drops under a tolerance. It is written to be checkable against a generic
-convex-QP solution of the same dual.
+convex-QP solution of the same dual. Matrix inputs pass encoding.as_matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 
+from .encoding import as_matrix
 from .errors import ContractViolation
 from .parallel import map_chunks
 
@@ -43,15 +44,6 @@ class SvmModel:
         return self.alpha * self.labels
 
 
-def _as_matrix(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ContractViolation(f"{name} must be non-empty 2-D")
-    if not np.all(np.isfinite(arr)):
-        raise ContractViolation(f"{name} contains non-finite values")
-    return arr
-
-
 def chi2_distances(x, y=None) -> np.ndarray:
     """Pairwise chi-squared distances sum_m (x_m-y_m)^2 / (x_m+y_m+eps),
     eps = ``CHI2_EPSILON``.
@@ -61,15 +53,15 @@ def chi2_distances(x, y=None) -> np.ndarray:
     overflows. Large inputs are computed in row chunks on several CPUs
     (``parallel.map_chunks``) with the same bits.
     """
-    a = _as_matrix(x, "X")
-    b = a if y is None else _as_matrix(y, "Y")
+    a, a_low, a_high = as_matrix(x, "X")
+    b, b_low, b_high = (a, a_low, a_high) if y is None else as_matrix(y, "Y")
     if a.shape[1] != b.shape[1]:
         raise ContractViolation(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
-    if np.any(a < 0) or np.any(b < 0):
+    if min(a_low, b_low) < 0:
         raise ContractViolation("chi-squared inputs must be non-negative")
-    peak = float(max(a.max(), b.max()))
+    peak = max(a_high, b_high)
     if peak * peak == math.inf:
         raise ContractViolation(
             f"chi-squared input {peak!r} overflows when squared"
@@ -147,7 +139,8 @@ def chi2_kernel(x, y=None, *,
         pairs = n * (n - 1) / 2
         mean = float(np.triu(dists, k=1).sum()) / pairs if n > 1 else 0.0
         gamma = 1.0 / mean if mean > 0 else 1.0
-    return np.exp(-gamma * dists), gamma
+    dists *= -gamma
+    return np.exp(dists, out=dists), gamma
 
 
 def _violating_pair(y: np.ndarray, f0: np.ndarray, alpha: np.ndarray,
@@ -178,7 +171,7 @@ def train_kernel_svm(gram, labels, C: float,
     can overshoot it by about 1e-14, which ``io.ALPHA_SLACK`` tolerates when
     a model is read back.
     """
-    K = _as_matrix(gram, "gram")
+    K = as_matrix(gram, "gram")[0]
     n = K.shape[0]
     if K.shape[1] != n:
         raise ContractViolation(f"gram must be square, got {K.shape}")
@@ -251,7 +244,7 @@ def train_kernel_svm(gram, labels, C: float,
 
 def kkt_violation(model: SvmModel, gram) -> float:
     """Maximal violating-pair gap m - M; at most ``KKT_TOL`` after training."""
-    K = _as_matrix(gram, "gram")
+    K = as_matrix(gram, "gram")[0]
     f0 = K @ model.coef
     return _violating_pair(model.labels, f0, model.alpha, model.C)[2]
 
@@ -259,7 +252,7 @@ def kkt_violation(model: SvmModel, gram) -> float:
 def svm_score(model: SvmModel, gram_rows) -> np.ndarray:
     """Decision values: score_j = sum_i alpha_i y_i K(test_j, train_i) + b,
     one product per row: a batched ``rows @ coef`` may round differently."""
-    rows = _as_matrix(gram_rows, "gram_rows")
+    rows = as_matrix(gram_rows, "gram_rows")[0]
     if rows.shape[1] != model.alpha.shape[0]:
         raise ContractViolation(
             f"gram_rows has {rows.shape[1]} columns, model expects "

@@ -1456,6 +1456,18 @@ class TestExitCodes:
         assert run("kernel", "--x", str(vectors), "--out", str(out)) == 3
         assert not out.exists()
 
+    def test_signed_vlad_vectors_are_contract_violation(self, videos,
+                                                        tmp_path, capsys):
+        """VLAD's signed square roots are no chi-squared input."""
+        vlad = tmp_path / "vlad.csv"
+        assert run("vlad", "--frames", *videos["paths"], "--k", "4",
+                   "--out", str(vlad)) == 0
+        out = tmp_path / "gram.csv"
+        capsys.readouterr()
+        assert run("kernel", "--x", str(vlad), "--out", str(out)) == 3
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_gram_ids_is_parse_error(self, videos, tmp_path):
         gram = tmp_path / "dup.csv"
         gram.write_text("cols,vid0,vid0\nvid0,1.0,0.5\nvid0,0.5,1.0\n")

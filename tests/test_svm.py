@@ -1,5 +1,6 @@
 """Chi-squared kernel and dual SVM training against a QP oracle."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hierkit.svm as svm
+from hierkit.encoding import Codebook, average_pool, kmeans_fit, vlad_encode
 from hierkit.errors import ContractViolation
 from hierkit.svm import (
     CHI2_BLOCK,
@@ -102,8 +104,18 @@ class TestChi2Kernel:
         assert np.all(gram <= 1.0)
 
     def test_negative_components_rejected(self):
-        with pytest.raises(ContractViolation):
-            chi2_kernel(np.array([[0.5, -0.5]]), gamma=1.0)
+        """The sign check reads the least value of X and of Y."""
+        good, bad = np.array([[0.5, 0.5]]), np.array([[0.5, -0.5]])
+        for x, y in ((bad, None), (bad, good), (good, bad)):
+            with pytest.raises(ContractViolation, match="non-negative"):
+                chi2_kernel(x, y, gamma=1.0)
+
+    def test_negative_zero_accepted(self):
+        x = np.array([[-0.0, 1.0], [0.0, 1.0]])
+        gram, _ = chi2_kernel(x, gamma=1.0)
+        np.testing.assert_array_equal(gram, np.ones((2, 2)))
+        rows, _ = chi2_kernel(x, np.array([[0.0, 1.0]]), gamma=1.0)
+        np.testing.assert_array_equal(rows, np.ones((2, 1)))
 
     def test_dimension_mismatch_rejected(self):
         x, y = np.full((2, 3), 0.5), np.full((2, 4), 0.5)
@@ -518,16 +530,16 @@ class TestTrainSvm:
 
 
 @pytest.mark.parametrize("bad,message", [
-    (np.array([0.5, 0.5]), "must be non-empty 2-D"),
-    (np.full((1, 2, 2), 0.5), "must be non-empty 2-D"),
-    (np.empty((0, 2)), "must be non-empty 2-D"),
-    (np.empty((2, 0)), "must be non-empty 2-D"),
+    (np.array([0.5, 0.5]), "must be non-empty 2-D, got shape"),
+    (np.full((1, 2, 2), 0.5), "must be non-empty 2-D, got shape"),
+    (np.empty((0, 2)), "must be non-empty 2-D, got shape"),
+    (np.empty((2, 0)), "must be non-empty 2-D, got shape"),
     (np.array([[0.5, np.nan], [0.5, 0.5]]), "contains non-finite values"),
     (np.array([[0.5, np.inf], [0.5, 0.5]]), "contains non-finite values"),
 ], ids=["1d", "3d", "no_rows", "no_columns", "nan", "inf"])
 def test_every_entry_point_rejects_a_malformed_matrix(bad, message):
-    """A 1-D array is no row: every matrix input must be 2-D, non-empty
-    and finite."""
+    """A 1-D array is no row: every matrix input of the encoders and the
+    SVM must be 2-D, non-empty and finite, checked by one contract."""
     good = np.full((2, 2), 0.5)
     model = SvmModel(alpha=np.zeros(2), labels=np.array([1.0, -1.0]),
                      bias=0.0, C=1.0)
@@ -537,9 +549,40 @@ def test_every_entry_point_rejects_a_malformed_matrix(bad, message):
         lambda: train_kernel_svm(bad, model.labels, C=1.0),
         lambda: kkt_violation(model, bad),
         lambda: svm_score(model, bad),
+        lambda: average_pool(bad),
+        lambda: kmeans_fit(bad, k=1, seed=0),
+        lambda: vlad_encode(bad, Codebook(centroids=good, seed=0)),
+        lambda: vlad_encode(good, Codebook(centroids=bad, seed=0)),
     ):
         with pytest.raises(ContractViolation, match=message):
             call()
+
+
+class TestChi2Memory:
+    """Peak traced memory of the chi-squared paths, inputs excluded."""
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_kernel_rows_scale_and_exponentiate_in_place(self):
+        # the 500 x 500 rows are 1.91 MiB; scaling and exp must reuse them
+        rng = np.random.default_rng(0)
+        x, y = rng.random((500, 4)), rng.random((500, 4))
+        (rows, _), peak = self._peak(lambda: chi2_kernel(x, y, gamma=1.0))
+        assert peak < 1.5 * rows.nbytes
+
+    def test_range_checks_make_no_input_sized_temporary(self):
+        # X is 15.3 MiB; a boolean mask of it alone would be 1.91 MiB
+        x = np.random.default_rng(0).random((2000, 1000))
+        _, peak = self._peak(lambda: chi2_distances(x, x[:1]))
+        assert peak < 2**20
 
 
 class TestScore:
