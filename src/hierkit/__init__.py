@@ -9,7 +9,13 @@ from .bottomup import (
     subsample_plan,
 )
 from .encoding import Codebook, average_pool, kmeans_fit, l1_normalize, vlad_encode
-from .errors import ContractViolation, HierkitError, ParseError, StructureError
+from .errors import (
+    ContractViolation,
+    HierkitError,
+    HierkitWarning,
+    ParseError,
+    StructureError,
+)
 from .evaluation import (
     EvalResult,
     ScoredList,
@@ -59,6 +65,7 @@ __all__ = [
     "vlad_encode",
     "ContractViolation",
     "HierkitError",
+    "HierkitWarning",
     "ParseError",
     "StructureError",
     "EvalResult",

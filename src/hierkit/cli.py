@@ -7,7 +7,9 @@ identical inputs produces byte-identical files. ``reorg-bottomup`` writes
 ``--out`` before ``--plan-out``, and ``vlad`` ``--save-codebook`` before
 ``--out``: when the second write fails, the first is already in place.
 Two outputs of one run that resolve to the same file are a usage error,
-raised before any input is read.
+raised before any input is read. Each library warning (HierkitWarning) is
+printed as ``warning: <message>`` on stderr when it is raised, every time,
+and leaves the exit code alone.
 The provenance ``hierkit <version> <subcommand> <flags>`` is recorded as
 follows: text reports, train lists, vector, Gram and score CSVs start with
 ``# <provenance>`` (a Gram appends `` | gamma=<value>``); label maps carry it
@@ -20,6 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .bottomup import (
     write_plan,
 )
 from .encoding import average_pool, kmeans_fit, vlad_encode
-from .errors import ContractViolation, ParseError, UsageError
+from .errors import ContractViolation, HierkitWarning, ParseError, UsageError
 from .evaluation import ScoredList, late_fuse, mean_average_precision
 from .io import (
     _open_text,
@@ -190,11 +194,9 @@ def _cmd_reorg_topdown(ns, prov: str) -> int:
     _apply_preset(ns, {"tt": "--tt", "budget": "--budget"})
     taxonomy = _load_taxonomy(ns)
     config = TopDownConfig(t_t=ns.tt, budget=ns.budget)
-    label_map, warnings = top_down_pipeline(taxonomy, config)
+    label_map = top_down_pipeline(taxonomy, config)
     label_map.provenance = f"{prov} | {label_map.provenance}"
     atomic_write_text(ns.out, write_label_map(label_map))
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     print(f"classes={len(label_map.classes)}", file=sys.stderr)
     return 0
 
@@ -459,26 +461,38 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(show, message, category, *args, **kwargs):
+    """Print a HierkitWarning as a ``warning:`` line; pass any other
+    warning on to ``show``."""
+    if issubclass(category, HierkitWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, *args, **kwargs)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-        if not getattr(ns, "handler", None):
-            raise UsageError("a subcommand is required")
-        prov = f"hierkit {__version__} " + " ".join(argv)
-        return ns.handler(ns, prov)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except ContractViolation as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 3
-    except SystemExit as exc:  # argparse --help/--version
-        return int(exc.code or 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", HierkitWarning)
+        warnings.showwarning = partial(_show_warning, warnings.showwarning)
+        try:
+            ns = parser.parse_args(argv)
+            if not getattr(ns, "handler", None):
+                raise UsageError("a subcommand is required")
+            prov = f"hierkit {__version__} " + " ".join(argv)
+            return ns.handler(ns, prov)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except ParseError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return 2
+        except ContractViolation as exc:
+            print(f"contract violation: {exc}", file=sys.stderr)
+            return 3
+        except SystemExit as exc:  # argparse --help/--version
+            return int(exc.code or 0)
 
 
 def console_main() -> None:

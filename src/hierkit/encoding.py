@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, HierkitWarning
 
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-6
@@ -103,7 +103,7 @@ def l1_normalize(vector) -> np.ndarray:
         raise ContractViolation("vector contains non-finite values")
     norm = np.sum(np.abs(v))
     if norm == 0.0:
-        warnings.warn("l1_normalize: zero vector left unchanged", RuntimeWarning)
+        warnings.warn("l1_normalize: zero vector left unchanged", HierkitWarning)
         return v.copy()
     return v / norm
 
@@ -118,13 +118,13 @@ def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
     """Lloyd's algorithm from a seeded, distance-weighted initialization.
 
     Iterations stop when no centroid moves more than 1e-6, or after 100
-    rounds with a RuntimeWarning. A cluster that empties is repaired by
+    rounds with a HierkitWarning. A cluster that empties is repaired by
     seizing the point currently farthest from its own centroid, among the
     points whose cluster keeps another member; so a repair never takes a
     point seized in the same round, and always finds one when n >= k.
     The objective (summed squared distances) never rises in Lloyd's
     algorithm; a rise beyond KMEANS_RISE_TOL of it warns with a
-    RuntimeWarning. Deterministic in (vectors, k, seed).
+    HierkitWarning. Deterministic in (vectors, k, seed).
     """
     data = as_frame_matrix(vectors)
     n = data.shape[0]
@@ -157,7 +157,7 @@ def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
             warnings.warn(
                 f"kmeans_fit: objective rose from {prev_objective!r} to "
                 f"{objective!r}, beyond rounding",
-                RuntimeWarning,
+                HierkitWarning,
             )
         prev_objective = objective
 
@@ -172,7 +172,7 @@ def kmeans_fit(vectors, k: int, seed: int) -> Codebook:
         warnings.warn(
             f"kmeans_fit: not converged after {KMEANS_MAX_ITER} rounds "
             f"(last centroid movement {movement:.3g})",
-            RuntimeWarning,
+            HierkitWarning,
         )
     return Codebook(centroids=centroids, seed=seed)
 
@@ -362,6 +362,6 @@ def vlad_encode(frames, codebook: Codebook) -> np.ndarray:
     flat = np.sign(flat) * np.sqrt(np.abs(flat))
     norm = float(np.sqrt(np.dot(flat, flat)))
     if norm == 0.0:
-        warnings.warn("vlad_encode: zero aggregate", RuntimeWarning)
+        warnings.warn("vlad_encode: zero aggregate", HierkitWarning)
         return flat
     return flat / norm

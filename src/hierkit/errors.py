@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto exit codes: UsageError -> 1, ParseError -> 2,
-ContractViolation -> 3. Anything else is a bug.
+ContractViolation -> 3. Anything else is a bug. Every warning the library
+issues is a HierkitWarning, which the CLI prints as a ``warning:`` line.
 """
 
 
@@ -30,3 +31,8 @@ class ContractViolation(HierkitError):
 
 class StructureError(ContractViolation):
     """The class hierarchy is structurally unusable (cycle, no root)."""
+
+
+class HierkitWarning(RuntimeWarning):
+    """Degenerate but valid input, or a solver that stopped unconverged:
+    the result is still returned."""

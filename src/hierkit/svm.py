@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .encoding import as_matrix
-from .errors import ContractViolation
+from .errors import ContractViolation, HierkitWarning
 from .parallel import map_chunks
 
 # added to every chi-squared denominator, so coincident zero bins give 0
@@ -79,9 +79,14 @@ def chi2_distances(x, y=None) -> np.ndarray:
     if symmetric:
         # (a-b)^2 and a+b are exact under swapping, so the upper triangle
         # is mirrored bit for bit
-        for i in range(n - 1):
-            out[i + 1:, i] = out[i, i + 1:]
+        _mirror_upper(out)
     return out
+
+
+def _mirror_upper(square: np.ndarray) -> None:
+    """Copy the strict upper triangle onto the lower one, in place."""
+    for i in range(square.shape[0] - 1):
+        square[i + 1:, i] = square[i, i + 1:]
 
 
 def _balanced_edges(cost: np.ndarray, parts: int) -> list[int]:
@@ -136,8 +141,12 @@ def chi2_kernel(x, y=None, *,
     dists = chi2_distances(x, y)
     if gamma is None:
         n = dists.shape[0]
-        pairs = n * (n - 1) / 2
-        mean = float(np.triu(dists, k=1).sum()) / pairs if n > 1 else 0.0
+        # sum the strict upper triangle without a copy: zero the rest in
+        # place (the diagonal is exactly 0 already), then mirror it back
+        for i in range(n):
+            dists[i, :i + 1] = 0.0
+        mean = float(dists.sum()) / (n * (n - 1) / 2) if n > 1 else 0.0
+        _mirror_upper(dists)
         gamma = 1.0 / mean if mean > 0 else 1.0
     dists *= -gamma
     return np.exp(dists, out=dists), gamma
@@ -156,6 +165,18 @@ def _violating_pair(y: np.ndarray, f0: np.ndarray, alpha: np.ndarray,
     return i, j, float(neg_e[i] - neg_e[j])
 
 
+def _symmetric(K: np.ndarray) -> bool:
+    """``np.allclose(K, K.T, atol=1e-10)``, one block of rows against the
+    matching block of columns at a time: temporaries hold about
+    ``CHI2_BLOCK`` elements, never a Gram."""
+    step = max(1, CHI2_BLOCK // K.shape[0])
+    for r0 in range(0, K.shape[0], step):
+        rows, cols = K[r0:r0 + step], K[:, r0:r0 + step].T
+        if not np.all(np.abs(rows - cols) <= 1e-10 + 1e-5 * np.abs(cols)):
+            return False
+    return True
+
+
 def train_kernel_svm(gram, labels, C: float,
                      train_ids: list[str] | None = None) -> SvmModel:
     """Solve the dual soft-margin problem on a precomputed Gram matrix.
@@ -165,7 +186,7 @@ def train_kernel_svm(gram, labels, C: float,
     violation gap falls under ``KKT_TOL``. A fit that stops with the gap
     still at or above ``KKT_TOL`` (``MAX_PAIR_UPDATES`` pair updates ran out,
     the pair's feasible interval is empty, or an update changed neither
-    alpha) warns with a ``RuntimeWarning``. When alpha_j is clipped to a
+    alpha) warns with a ``HierkitWarning``. When alpha_j is clipped to a
     bound that comes from alpha_i's box, alpha_i is set exactly to 0 or C.
     The box constraint 0 <= alpha <= C holds up to rounding: a pair update
     can overshoot it by about 1e-14, which ``io.ALPHA_SLACK`` tolerates when
@@ -175,7 +196,7 @@ def train_kernel_svm(gram, labels, C: float,
     n = K.shape[0]
     if K.shape[1] != n:
         raise ContractViolation(f"gram must be square, got {K.shape}")
-    if not np.allclose(K, K.T, atol=1e-10):
+    if not _symmetric(K):
         raise ContractViolation("gram matrix is not symmetric")
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != (n,):
@@ -231,7 +252,7 @@ def train_kernel_svm(gram, labels, C: float,
         warnings.warn(
             f"train_kernel_svm: not converged, KKT gap {gap:.3g} >= tol "
             f"{KKT_TOL:g} (max_updates={MAX_PAIR_UPDATES})",
-            RuntimeWarning,
+            HierkitWarning,
         )
     neg_e = y - f0
     free = (alpha > 1e-8) & (alpha < C - 1e-8)

@@ -13,10 +13,11 @@ captures them first.
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ContractViolation
+from .errors import ContractViolation, HierkitWarning
 from .labelmap import LabelMap, from_members
 from .taxonomy import SynsetId, Taxonomy, subtree_counts
 
@@ -75,7 +76,7 @@ def assign_to_selected(
 
     Synsets with no selected ancestor-or-self contribute to the unassigned
     pool; an empty selection leaves every image unassigned. Returns the
-    label map, the per-class effective counts, and warnings for classes
+    label map, the per-class effective counts, and one message per class
     left short of t_t after assignment (reported, never repaired).
     """
     selected_set = set(selected)
@@ -103,24 +104,25 @@ def assign_to_selected(
         for child in node.children:
             walk.append((child, owner))
 
-    warnings = []
+    short = []
     if t_t is not None:
-        warnings = [
+        short = [
             f"class {s}: effective count {effective[s]} < t_t={t_t}"
             for s in sorted(selected_set)
             if effective[s] < t_t
         ]
     label_map = from_members(members, effective, unassigned, provenance)
-    return label_map, effective, warnings
+    return label_map, effective, short
 
 
-def top_down_pipeline(
-    taxonomy: Taxonomy, config: TopDownConfig
-) -> tuple[LabelMap, list[str]]:
-    """Selection, then assignment: the label map and short-class warnings."""
+def top_down_pipeline(taxonomy: Taxonomy, config: TopDownConfig) -> LabelMap:
+    """Selection, then assignment. Each class left short of t_t warns with
+    a HierkitWarning, in class id order."""
     selected = top_down_select(taxonomy, config).selected
     provenance = f"topdown t_t={config.t_t} budget={config.budget}"
-    label_map, _, warnings = assign_to_selected(
+    label_map, _, short = assign_to_selected(
         taxonomy, selected, t_t=config.t_t, provenance=provenance
     )
-    return label_map, warnings
+    for message in short:
+        warnings.warn(message, HierkitWarning)
+    return label_map

@@ -90,6 +90,7 @@ def test_criterion_1_reorg_invariants():
     _report(f"criterion 1 reorg invariants ({elapsed:.1f}s)")
 
 
+@pytest.mark.filterwarnings("ignore::hierkit.HierkitWarning")
 def test_criterion_2_oracle_equivalence():
     """Naive roll/bind/promote/top-down agree with the library byte-for-byte."""
     for seed in range(N_TAXONOMIES):
@@ -103,7 +104,7 @@ def test_criterion_2_oracle_equivalence():
         assert write_label_map(label_map) == write_label_map(expected)
 
         t_t, budget = random_topdown_params(seed)
-        td_map, _ = top_down_pipeline(
+        td_map = top_down_pipeline(
             taxonomy, TopDownConfig(t_t=t_t, budget=budget)
         )
         selected = oracle_top_down_select(taxonomy, t_t, budget)
@@ -123,6 +124,7 @@ def test_criterion_2_oracle_equivalence():
     _report(f"criterion 2 oracle equivalence ({N_TAXONOMIES} taxonomies)")
 
 
+@pytest.mark.filterwarnings("ignore::hierkit.HierkitWarning")
 def test_criterion_3_imagenet_metadata():
     """Preset class counts and stats on real metadata, when available."""
     directory = os.environ.get("HIERKIT_IMAGENET_DIR")
@@ -153,7 +155,7 @@ def test_criterion_3_imagenet_metadata():
         )
         assert abs(len(label_map.classes) - expected) <= 0.05 * expected
 
-    td_map, _ = top_down_pipeline(
+    td_map = top_down_pipeline(
         taxonomy, TopDownConfig(t_t=1200, budget=4000)
     )
     assert len(td_map.classes) == 4000

@@ -654,10 +654,6 @@ _EVENT_COMMANDS = {
     "eval": ["eval", "--scores", "{d}/s1.csv", "--labels", "{d}/labels.csv"],
 }
 
-# the library's own warnings about degenerate but valid input; any other
-# RuntimeWarning (a numpy overflow, say) still fails the run
-_EXPECTED_WARNINGS = r"(l1_normalize|kmeans_fit|vlad_encode|train_kernel_svm): "
-
 
 class TestFuzz:
     @settings(max_examples=300, deadline=None,
@@ -688,10 +684,9 @@ class TestFuzz:
             else:
                 (tmp_path / name).write_text(content, encoding="utf-8")
         argv = [arg.format(d=tmp_path) for arg in _EVENT_COMMANDS[command]]
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message=_EXPECTED_WARNINGS,
-                                    category=RuntimeWarning)
-            assert main(argv + ["--out", f"{tmp_path}/out"]) in (0, 1, 2, 3)
+        # the library's own warnings become stderr lines; any other
+        # RuntimeWarning (a numpy overflow, say) still fails the run
+        assert main(argv + ["--out", f"{tmp_path}/out"]) in (0, 1, 2, 3)
         capsys.readouterr()
 
     def test_undecodable_input_is_parse_error(self, meta, tmp_path):
@@ -752,15 +747,17 @@ class TestEncodingCommands:
         # k*d = 4*3
         assert len(payload1[0].split(",")) == 1 + 12
 
-    def test_vlad_on_identical_frames(self, tmp_path):
+    def test_vlad_on_identical_frames(self, tmp_path, capsys):
         path = tmp_path / "same.bin"
         path.write_bytes(write_frames_bin(np.ones((6, 3))))
         out = tmp_path / "vlad.csv"
-        with pytest.warns(RuntimeWarning, match="zero aggregate"):
-            code = run(
-                "vlad", "--frames", str(path), "--k", "3", "--out", str(out),
-            )
+        code = run(
+            "vlad", "--frames", str(path), "--k", "3", "--out", str(out),
+        )
         assert code == 0
+        assert "warning: vlad_encode: zero aggregate" in (
+            capsys.readouterr().err.splitlines()
+        )
         assert out.read_text().splitlines()[1] == "same," + ",".join(
             ["0.0"] * 9
         )
@@ -1117,6 +1114,48 @@ class TestUnwritableOutput:
         argv[2] = str(tmp_path / "absent")  # the first input file
         assert main(argv) == 1
         assert os.listdir(tmp_path) == []
+
+
+class TestWarnings:
+    """A library warning reaches the user as one ``warning:`` line on
+    stderr, on every call, whatever the warning filters say, and leaves the
+    exit code alone."""
+
+    ZERO = "warning: l1_normalize: zero vector left unchanged"
+
+    @staticmethod
+    def _zero_frames(tmp_path):
+        path = tmp_path / "zeros.csv"
+        path.write_text("0,0\n0,0\n")
+        return ["pool", "--frames", str(path), "--out", str(tmp_path / "q.csv")]
+
+    def test_every_in_process_call_prints_it(self, tmp_path, capsys):
+        argv = self._zero_frames(tmp_path)
+        for _ in range(2):
+            assert main(argv) == 0
+            assert capsys.readouterr().err.splitlines() == [self.ZERO]
+
+    def test_error_filter_gives_no_traceback(self, tmp_path):
+        done = subprocess.run(
+            [sys.executable, "-m", "hierkit.cli", *self._zero_frames(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONWARNINGS": "error", "PYTHONPATH":
+                 os.path.dirname(os.path.dirname(hierkit.__file__))},
+        )
+        assert (done.returncode, done.stderr) == (0, self.ZERO + "\n")
+
+    def test_other_warnings_pass_through(self, tmp_path, monkeypatch):
+        def overflowing_pool(frames):
+            return np.float64(1e308) * np.float64(10.0) * np.ones(2)
+
+        monkeypatch.setattr("hierkit.cli.average_pool", overflowing_pool)
+        argv = self._zero_frames(tmp_path)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            main(argv)  # under the suite's error::RuntimeWarning filter
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert [w.category for w in seen] == [RuntimeWarning]
 
 
 class TestExitCodes:

@@ -747,6 +747,30 @@ def test_no_public_name_serves_only_tests():
     assert unused == []
 
 
+def test_one_warning_channel():
+    """Every ``warn`` call in the package passes HierkitWarning as its
+    category, so the CLI prints it; and only cli.py writes a string that
+    starts a ``warning:`` line."""
+    package = os.path.dirname(hierkit.__file__)
+    stray = []
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "warn" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                category = [k.value for k in node.keywords
+                            if k.arg == "category"] or node.args[1:2]
+                if [ast.unparse(c) for c in category] != ["HierkitWarning"]:
+                    stray.append(f"{name}:{node.lineno}: warn")
+            elif (name != "cli.py" and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.lower().startswith("warning:")):
+                stray.append(f"{name}:{node.lineno}: warning line")
+    assert stray == []
+
+
 class TestShardedVectorReads:
     """Forced onto several processes, the vector reader returns what the
     serial reader and the oracle return, or raises the same ParseError."""

@@ -559,7 +559,8 @@ def test_every_entry_point_rejects_a_malformed_matrix(bad, message):
 
 
 class TestChi2Memory:
-    """Peak traced memory of the chi-squared paths, inputs excluded."""
+    """Peak traced memory of the chi-squared and Gram paths, inputs
+    excluded."""
 
     @staticmethod
     def _peak(fn):
@@ -583,6 +584,38 @@ class TestChi2Memory:
         x = np.random.default_rng(0).random((2000, 1000))
         _, peak = self._peak(lambda: chi2_distances(x, x[:1]))
         assert peak < 2**20
+
+    def test_auto_gamma_copies_no_triangle(self):
+        # the 1000 x 1000 Gram is 7.63 MiB; an np.triu copy would double it
+        x = np.random.default_rng(0).random((1000, 2))
+        dists = chi2_distances(x)
+        expected = 1.0 / (float(np.triu(dists, k=1).sum()) / (1000 * 999 / 2))
+        (gram, gamma), peak = self._peak(lambda: chi2_kernel(x))
+        assert peak < 1.3 * gram.nbytes
+        assert gamma == expected
+        assert gram.tobytes() == np.exp(-gamma * dists).tobytes()
+
+    def test_symmetry_check_makes_no_gram_sized_temporary(self):
+        # np.allclose(K, K.T) peaks at 2.13 Grams
+        gram = np.eye(1000)
+        labels = np.where(np.arange(1000) % 2, 1.0, -1.0)
+        _, peak = self._peak(lambda: train_kernel_svm(gram, labels, C=1.0))
+        assert peak < 1.3 * gram.nbytes
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.sampled_from([1, 2, 7, 300]), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-12, 1e-6, 1.0, 1e6]),
+           factor=st.one_of(st.just(1.0), st.floats(0.5, 1.5)))
+    def test_symmetry_check_accepts_what_allclose_accepts(
+            self, n, seed, scale, factor):
+        """Row blocks (300 rows span three) give np.allclose's verdict on
+        a symmetric Gram with one entry moved about one tolerance."""
+        rng = np.random.default_rng(seed)
+        half = scale * rng.random((n, n))
+        gram = half + half.T
+        i, j = rng.integers(n, size=2)
+        gram[i, j] += factor * (1e-10 + 1e-5 * abs(gram[j, i]))
+        assert svm._symmetric(gram) == np.allclose(gram, gram.T, atol=1e-10)
 
 
 class TestScore:

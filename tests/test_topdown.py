@@ -7,7 +7,7 @@ import pytest
 
 import hierkit
 
-from hierkit.errors import ContractViolation
+from hierkit.errors import ContractViolation, HierkitWarning
 from hierkit.labelmap import write_label_map
 from hierkit.taxonomy import build_taxonomy, subtree_counts
 from hierkit.topdown import (
@@ -148,11 +148,12 @@ class TestAssign:
             oracle_assign(t, [], "x")
         )
 
+    @pytest.mark.filterwarnings("ignore::hierkit.HierkitWarning")
     def test_conservation_and_disjoint_members(self):
         for seed in range(40):
             t = random_taxonomy(seed, max_nodes=100)
             t_t, budget = random_topdown_params(seed)
-            label_map, _ = top_down_pipeline(
+            label_map = top_down_pipeline(
                 t, TopDownConfig(t_t=t_t, budget=budget)
             )
             assigned = sum(c.assigned_count for c in label_map.classes)
@@ -178,16 +179,21 @@ class TestAssign:
 
 class TestPipeline:
     def test_provenance_records_parameters(self):
-        label_map, _ = top_down_pipeline(
+        label_map = top_down_pipeline(
             sample_tree(), TopDownConfig(t_t=5, budget=3)
         )
         assert label_map.provenance == "topdown t_t=5 budget=3"
 
     def test_warnings_surface_in_result(self):
         t = sample_tree()
-        _, warnings = top_down_pipeline(t, TopDownConfig(t_t=5, budget=5))
-        # B1 gets selected at layer 2 and takes B2's images; B keeps 1 < 5
-        assert any("class B:" in w for w in warnings)
+        with pytest.warns(HierkitWarning) as record:
+            top_down_pipeline(t, TopDownConfig(t_t=5, budget=5))
+        # B1 gets selected at layer 2 and takes B2's images; B keeps 1 < 5,
+        # and B2, selected at layer 3, leaves B1 its own 2
+        assert [str(w.message) for w in record] == [
+            "class B: effective count 1 < t_t=5",
+            "class B1: effective count 2 < t_t=5",
+        ]
 
     def test_config_validation(self):
         with pytest.raises(ContractViolation):
