@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolation, ParseError
-from .io import _records
+from .io import _fields, _records
 from .labelmap import LabelMap
 from .taxonomy import Taxonomy, TaxonomyNode, subtree_counts
 from .topdown import assign_to_selected
@@ -245,12 +245,8 @@ def read_plan(text: str) -> SubsamplePlan:
     if not 0 <= seed < 2**64:
         raise ParseError("plan seed must fit in 64 unsigned bits", line=1)
     targets: dict[int, int] = {}
-    for lineno, raw, fields in _records(text, "\t"):
-        if len(fields) != 3:
-            raise ParseError(
-                f"expected 'class_id<TAB>target<TAB>seed', got {raw!r}",
-                line=lineno,
-            )
+    rows = _fields(_records(text, "\t"), 3, "class_id<TAB>target<TAB>seed")
+    for lineno, raw, fields in rows:
         try:
             class_id, target, line_seed = map(int, fields)
         except ValueError:

@@ -17,8 +17,10 @@ Formats handled here:
 is skipped, every other line is stripped and split into fields, and line
 numbers count every line. It takes a whole text or an open text file; a
 file is read ``READ_BLOCK`` characters at a time, so a large input such as
-``images.tsv`` is never held as one text. Floats are rendered with
-``repr`` so output is byte-stable and re-parses to the same double.
+``images.tsv`` is never held as one text. On its records, ``_fields`` is
+the one field-count check and ``_count_table`` the one ``synset count``
+reader. Floats are rendered with ``repr`` so output is byte-stable and
+re-parses to the same double.
 
 Outputs are written to a sibling temp file and renamed into place, so they
 never go partial; an output that cannot be written is a UsageError.
@@ -38,7 +40,7 @@ from typing import TextIO
 import numpy as np
 
 from .encoding import Codebook
-from .errors import ContractViolation, ParseError, UsageError
+from .errors import ParseError, UsageError
 from .parallel import map_chunks
 from .svm import SvmModel
 
@@ -182,6 +184,36 @@ def _records(source: str | TextIO, sep: str | None = ","):
         first += len(lines)
 
 
+def _fields(records: Iterable[tuple[int, str, list[str]]], count: int,
+            shape: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``records`` as they come, each checked to have ``count`` fields; a
+    record with another number is a ParseError showing ``shape``."""
+    for record in records:
+        if len(record[2]) != count:
+            raise ParseError(f"expected '{shape}', got {record[1]!r}",
+                             line=record[0])
+        yield record
+
+
+def _count_table(records: Iterable[tuple[int, str, list[str]]],
+                 shape: str) -> dict[str, int]:
+    """The one reader of ``synset count`` rows: a non-negative integer
+    count per synset, one line per synset, in file order."""
+    counts: dict[str, int] = {}
+    for lineno, _, (synset, count_text) in _fields(records, 2, shape):
+        try:
+            count = int(count_text)
+        except ValueError:
+            raise ParseError(f"non-numeric count {count_text!r}",
+                             line=lineno) from None
+        if count < 0:
+            raise ParseError(f"negative count {count}", line=lineno)
+        if synset in counts:
+            raise ParseError(f"duplicate synset id {synset!r}", line=lineno)
+        counts[synset] = count
+    return counts
+
+
 def _float_rows(records: Iterable[tuple[int, str, list[str]]],
                 id_fields: int, kind: str,
                 width: int | None = None) -> tuple[list[str], np.ndarray]:
@@ -251,8 +283,6 @@ def read_frames_file(path: str, fmt_name: str | None = None) -> np.ndarray:
     """Load one video's frames; format inferred from extension when not given."""
     if fmt_name is None:
         fmt_name = "bin" if path.endswith(".bin") else "csv"
-    if fmt_name not in ("bin", "csv"):
-        raise ContractViolation(f"unknown frame format {fmt_name!r}")
     if fmt_name == "bin":
         return read_frames_bin(_read_bytes(path))
     return read_frames_csv(_read_text(path))
@@ -329,13 +359,9 @@ def read_gram_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
 # -- scores and labels ------------------------------------------------------
 
 def read_scores_csv(text: str) -> list[tuple[str, float]]:
-    out: list[tuple[str, float]] = []
-    for lineno, raw, tokens in _records(text):
-        if len(tokens) != 2:
-            raise ParseError(
-                f"expected 'item_id,score', got {raw!r}", line=lineno
-            )
-        out.append((tokens[0], _parse_float(tokens[1], lineno)))
+    rows = _fields(_records(text), 2, "item_id,score")
+    out = [(item_id, _parse_float(score, lineno))
+           for lineno, _, (item_id, score) in rows]
     if not out:
         raise ParseError("no score rows found")
     return out

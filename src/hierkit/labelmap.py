@@ -15,15 +15,18 @@ training. The on-disk format is line oriented:
 
 Records follow ``io._records``: blank and ``#`` lines are skipped and
 whitespace around a record is ignored. The exact line ``#UNASSIGNED``
-starts the unassigned section. Counts and class ids must be >= 0.
+starts the unassigned section, read as ``counts.tsv`` is (one line per
+synset). Counts and class ids must be >= 0; no synset is both a class
+member and unassigned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ContractViolation, ParseError
-from .io import _records
+from .io import _count_table, _records
 from .taxonomy import SynsetId
 
 _HEADER_PREFIX = "# hierkit-labelmap v1"
@@ -103,25 +106,13 @@ def read_label_map(text: str) -> LabelMap:
         boundary = len(lines)
     del lines
     classes: list[LabelClass] = []
-    unassigned: list[tuple[SynsetId, int]] = []
     class_ids: set[int] = set()
     class_of: dict[SynsetId, int] = {}
-    for lineno, raw, fields in _records(text, "\t"):
-        if lineno > boundary:
-            if len(fields) != 2:
-                raise ParseError(
-                    f"expected 'synset<TAB>count', got {raw!r}", line=lineno
-                )
-            try:
-                count = int(fields[1])
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric count {fields[1]!r}", line=lineno
-                ) from None
-            if count < 0:
-                raise ParseError(f"negative count {count}", line=lineno)
-            unassigned.append((fields[0], count))
-            continue
+    records = _records(text, "\t")
+    for lineno, raw, fields in records:
+        if lineno > boundary:  # this record and the rest are unassigned
+            records = chain([(lineno, raw, fields)], records)
+            break
         if len(fields) != 4:
             raise ParseError(
                 "expected 'class_id<TAB>representative<TAB>count<TAB>"
@@ -158,4 +149,10 @@ def read_label_map(text: str) -> LabelMap:
                 assigned_count=count,
             )
         )
-    return LabelMap(classes=classes, unassigned=unassigned, provenance=provenance)
+    unassigned = _count_table(records, "synset<TAB>count")
+    for synset in unassigned:
+        if synset in class_of:
+            raise ParseError(f"synset {synset!r} is in class "
+                             f"{class_of[synset]} and unassigned")
+    return LabelMap(classes=classes, unassigned=list(unassigned.items()),
+                    provenance=provenance)

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .errors import ContractViolation, ParseError, StructureError
-from .io import _records
+from .io import _count_table, _fields, _records
 
 SynsetId = str
 
@@ -69,38 +69,14 @@ class StatsReport:
 def parse_isa_edges(text: str) -> list[tuple[SynsetId, SynsetId]]:
     """Parse ``parent child`` lines into an edge list, in file order and
     with repeated lines kept; ``build_taxonomy`` drops and counts them."""
-    edges: list[tuple[SynsetId, SynsetId]] = []
-    for lineno, raw, tokens in _records(text, None):
-        if len(tokens) != 2:
-            raise ParseError(
-                f"expected 'parent_id child_id', got {raw!r}", line=lineno
-            )
-        edges.append((tokens[0], tokens[1]))
-    return edges
+    return [(parent, child) for _, _, (parent, child)
+            in _fields(_records(text, None), 2, "parent_id child_id")]
 
 
 def parse_counts(text: str) -> dict[SynsetId, int]:
     """Parse ``synset_id count`` lines into a count map; a synset may be
     listed once."""
-    counts: dict[SynsetId, int] = {}
-    for lineno, raw, tokens in _records(text, None):
-        if len(tokens) != 2:
-            raise ParseError(
-                f"expected 'synset_id count', got {raw!r}", line=lineno
-            )
-        synset, count_text = tokens
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise ParseError(
-                f"non-numeric count {count_text!r}", line=lineno
-            ) from None
-        if count < 0:
-            raise ParseError(f"negative count {count}", line=lineno)
-        if synset in counts:
-            raise ParseError(f"duplicate synset id {synset!r}", line=lineno)
-        counts[synset] = count
-    return counts
+    return _count_table(_records(text, None), "synset_id count")
 
 
 def parse_names(text: str) -> dict[SynsetId, str]:

@@ -34,6 +34,7 @@ class TopDownConfig:
             raise ContractViolation(f"budget must be >= 1, got {self.budget}")
 
 
+# perfbench's counters read ``.selected``; a new shape needs a perfbench change
 @dataclass
 class SelectionResult:
     selected: list[SynsetId]
@@ -112,6 +113,7 @@ def assign_to_selected(
             if effective[s] < t_t
         ]
     label_map = from_members(members, effective, unassigned, provenance)
+    # a 3-tuple because perfbench counts topdown.short_classes as len(r[2])
     return label_map, effective, short
 
 

@@ -757,6 +757,9 @@ def oracle_parse_names(text: str) -> dict[SynsetId, str]:
 
 
 def oracle_read_label_map(text: str) -> LabelMap:
+    """The original loop, plus ``counts.tsv``'s one-line-per-synset rule
+    for unassigned lines (a scan of those so far) and, once every line is
+    read, a scan of the classes for each unassigned synset in file order."""
     prefix = "# hierkit-labelmap v1"
     lines = text.splitlines()
     if not lines or not lines[0].startswith(prefix):
@@ -790,6 +793,10 @@ def oracle_read_label_map(text: str) -> LabelMap:
                 ) from None
             if count < 0:
                 raise ParseError(f"negative count {count}", line=lineno)
+            if any(synset == fields[0] for synset, _ in unassigned):
+                raise ParseError(
+                    f"duplicate synset id {fields[0]!r}", line=lineno
+                )
             unassigned.append((fields[0], count))
         else:
             if len(fields) != 4:
@@ -828,6 +835,11 @@ def oracle_read_label_map(text: str) -> LabelMap:
                     assigned_count=count,
                 )
             )
+    for synset, _ in unassigned:
+        for cls in classes:
+            if synset in cls.members:
+                raise ParseError(f"synset {synset!r} is in class "
+                                 f"{cls.class_id} and unassigned")
     return LabelMap(classes=classes, unassigned=unassigned, provenance=provenance)
 
 

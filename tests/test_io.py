@@ -771,6 +771,33 @@ def test_one_warning_channel():
     assert stray == []
 
 
+def test_one_reader_of_count_rows():
+    """``synset count`` rows have one reader: inside the package,
+    ``io._count_table`` is called by ``taxonomy.parse_counts`` and
+    ``labelmap.read_label_map`` only, and only io.py holds its
+    ``non-numeric count`` message."""
+    package = os.path.dirname(hierkit.__file__)
+    callers, holders = [], []
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", "<module>")
+            callers.extend(
+                f"{name[:-3]}.{owner}" for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and node.id == "_count_table"
+                or isinstance(node, ast.Attribute)
+                and node.attr == "_count_table"
+            )
+        holders.extend(
+            name for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "non-numeric count" in node.value
+        )
+    assert callers == ["labelmap.read_label_map", "taxonomy.parse_counts"]
+    assert holders == ["io.py"]
+
+
 class TestShardedVectorReads:
     """Forced onto several processes, the vector reader returns what the
     serial reader and the oracle return, or raises the same ParseError."""

@@ -97,8 +97,13 @@ class TestValidity:
          "line 3: synset 'A' is in classes 0 and 1"),
         ("0\tA\t-5\tA\n", "line 2: negative count -5"),
         ("0\tA\t3\tA\n#UNASSIGNED\nD\t-3\n", "line 4: negative count -3"),
+        ("0\tA\t3\tA\n#UNASSIGNED\nD\t4\nE\t1\nD\t4\n",
+         "line 6: duplicate synset id 'D'"),
+        ("0\tA\t5\tA,B\n#UNASSIGNED\nB\t3\n",
+         "synset 'B' is in class 0 and unassigned"),
     ], ids=["negative_id", "duplicate_id", "shared_member", "negative_count",
-            "negative_unassigned_count"])
+            "negative_unassigned_count", "duplicate_unassigned",
+            "member_unassigned"])
     def test_invalid_map_rejected(self, body, message):
         text = "# hierkit-labelmap v1 p\n" + body + "#UNASSIGNED\n"
         with pytest.raises(ParseError) as info:
