@@ -6,6 +6,8 @@ written atomically (temp file + rename), and re-running a subcommand with
 identical inputs produces byte-identical files. ``reorg-bottomup`` writes
 ``--out`` before ``--plan-out``, and ``vlad`` ``--save-codebook`` before
 ``--out``: when the second write fails, the first is already in place.
+``vlad --codebook`` reads the codebook before any frames file, so when
+both are broken the codebook's error is the one reported.
 Two outputs of one run that resolve to the same file are a usage error,
 raised before any input is read. Each library warning (HierkitWarning) is
 printed as ``warning: <message>`` on stderr when it is raised, every time,
@@ -262,15 +264,20 @@ def _cmd_vlad(ns, prov: str) -> int:
         raise UsageError("need --codebook or --k to build one")
     _distinct_outputs(ns.out, ns.save_codebook, "--out and --save-codebook")
     ids = _frame_ids(ns.frames)
-    matrices = list(_frame_matrices(ns))
     if ns.codebook:
         codebook, _ = read_codebook(_read_bytes(ns.codebook))
+        matrices = _frame_matrices(ns)
     else:
-        codebook = kmeans_fit(np.vstack(matrices), ns.k, ns.seed or 0)
+        matrices = list(_frame_matrices(ns))
+        edges = np.cumsum([len(arr) for arr in matrices[:-1]])
+        frames = np.concatenate(matrices)
+        del matrices  # k-means and VLAD read the frames from one stack
+        codebook = kmeans_fit(frames, ns.k, ns.seed or 0)
         if ns.save_codebook:
             atomic_write_bytes(
                 ns.save_codebook, write_codebook(codebook, provenance=prov)
             )
+        matrices = np.split(frames, edges)
     encodings = [vlad_encode(arr, codebook) for arr in matrices]
     atomic_write_text(ns.out, write_vectors_csv(ids, np.vstack(encodings), header=prov))
     return 0

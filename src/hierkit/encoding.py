@@ -6,14 +6,14 @@ rows are canonicalized (lexicographically sorted) before any floating-point
 reduction, so results are bitwise invariant under frame permutation and
 independent of the degree of parallelism upstream.
 
-Nearest centroids come from one matrix product, |a|^2 + |b|^2 - 2 a.b, and
-are confirmed by the exact blocked distances wherever rounding could decide
-them (see _screen); every distance an output reads is the exact one, so
-neither the BLAS nor its thread count changes an output bit. Every exact
-distance comes from one blocked kernel (_pairwise_sq_dists), and every
-per-cluster sum from one stable grouping (_clusters) that keeps row order,
-and so the summation bits. One check, as_matrix, admits every matrix
-here and in svm.
+Nearest centroids come from a matrix product per row block,
+|a|^2 + |b|^2 - 2 a.b, and are confirmed by the exact blocked distances
+wherever rounding could decide them (see _screen); every distance an
+output reads is the exact one, so neither the BLAS nor its thread count
+changes an output bit. Every exact distance comes from one blocked kernel
+(_pairwise_sq_dists), and every per-cluster sum from one stable grouping
+(_clusters) that keeps row order, and so the summation bits. One check,
+as_matrix, admits every matrix here and in svm.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ KMEANS_TOL = 1e-6
 # than the rounding of a sum of n float64 costs, and is reported.
 KMEANS_RISE_TOL = 1e-9
 # Elements in the one scratch block each _pairwise_sq_dists call reuses
-# for its row blocks (512 KiB of float64).
+# for its row blocks (512 KiB of float64), and in each screen _nearest
+# computes for a block of rows.
 # Measured on a 2-vCPU Xeon over n x k x d from 400x64x128 to 4800x64x128
 # and 2000x64x1000: 2**15 and 2**16 were fastest and within noise of each
 # other; 2**12 and 2**20 slower.
@@ -265,18 +266,24 @@ def _nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A row's nearest column e_j* has g_j* - tau <= e_j* <= e_l <= g_l + tau
     for every l, so g_j* <= min g + 2 tau. A row with one such column is
     settled by it; any other gets its exact row, ties to the lowest index.
+    The screen runs on blocks of KMEANS_BLOCK // len(b) rows of a, so each
+    g holds at most KMEANS_BLOCK elements, or one row.
     """
-    g, tau = _screen(a, _sq_norms(a), b)
-    assign = np.argmin(g, axis=1)
-    tau *= 2.0
-    tau += g.min(axis=1)
-    open_rows = np.flatnonzero(
-        np.count_nonzero(g <= tau[:, None], axis=1) > 1
-    )
-    if open_rows.size:
-        assign[open_rows] = np.argmin(
-            _pairwise_sq_dists(a, b, open_rows), axis=1
+    a_sq = _sq_norms(a)
+    assign = np.empty(a.shape[0], dtype=np.intp)
+    step = max(1, KMEANS_BLOCK // b.shape[0])
+    for lo in range(0, a.shape[0], step):
+        g, tau = _screen(a[lo:lo + step], a_sq[lo:lo + step], b)
+        assign[lo:lo + step] = np.argmin(g, axis=1)
+        tau *= 2.0
+        tau += g.min(axis=1)
+        open_rows = lo + np.flatnonzero(
+            np.count_nonzero(g <= tau[:, None], axis=1) > 1
         )
+        if open_rows.size:
+            assign[open_rows] = np.argmin(
+                _pairwise_sq_dists(a, b, open_rows), axis=1
+            )
     return assign
 
 

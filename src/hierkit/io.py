@@ -25,7 +25,10 @@ re-parses to the same double.
 Outputs are written to a sibling temp file and renamed into place, so they
 never go partial; an output that cannot be written is a UsageError.
 ``atomic_write_text`` also takes a text as pieces, so a large output need
-not be joined in memory first.
+not be joined in memory first. The table writers (``write_vectors_csv``,
+``write_gram_csv``, ``write_scores_csv``) return such pieces, one line per
+row from the one row writer ``_table_lines``; they read ``values`` lazily,
+so consume the lines before changing it.
 """
 
 from __future__ import annotations
@@ -133,11 +136,13 @@ def _parse_float(token: str, lineno: int) -> float:
         raise ParseError(f"non-numeric value {token!r}", line=lineno) from None
 
 
-def _floats(tokens: list[str], lineno: int) -> list[float]:
+def _floats(tokens: list[str], lineno: int) -> np.ndarray:
+    """``tokens`` as one float64 array, each parsed by ``float``: 8 bytes a
+    value, where a list of floats holds 32."""
     try:
-        return list(map(float, tokens))
+        return np.fromiter(map(float, tokens), np.float64, len(tokens))
     except ValueError:  # re-parse one by one to name the first bad token
-        return [_parse_float(tok, lineno) for tok in tokens]
+        return np.array([_parse_float(tok, lineno) for tok in tokens])
 
 
 def _line_blocks(source: str | TextIO) -> Iterator[list[str]]:
@@ -222,7 +227,7 @@ def _float_rows(records: Iterable[tuple[int, str, list[str]]],
     values are parsed; otherwise the first row sets it, and each later row
     is checked once its values are parsed."""
     ids: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     fixed = width is not None
     for lineno, raw, tokens in records:
         count = len(tokens) - id_fields
@@ -245,17 +250,17 @@ def _float_rows(records: Iterable[tuple[int, str, list[str]]],
     return ids, np.asarray(rows, dtype=np.float64)
 
 
-def _table_text(ids: list[str], values: np.ndarray, header: str | None,
-                *head: str) -> str:
-    """The one row writer: the ``# header`` line, the ``head`` lines, then
-    an ``id,v1,...,vd`` line per row, each value ``fmt``-ed in one pass."""
-    lines = [f"# {header}"] if header else []
-    lines.extend(head)
-    lines.extend(
-        item_id + "," + ",".join(map(repr, row.tolist()))
-        for item_id, row in zip(ids, np.asarray(values, dtype=np.float64))
-    )
-    return "\n".join(lines) + "\n"
+def _table_lines(ids: list[str], values: np.ndarray, header: str | None,
+                 *head: str) -> Iterator[str]:
+    """The one row writer, one line at a time: the ``# header`` line, the
+    ``head`` lines, then an ``id,v1,...,vd`` line per row, each value
+    ``fmt``-ed in one pass. ``values`` is read as the lines are taken."""
+    if header:
+        yield f"# {header}\n"
+    for line in head:
+        yield line + "\n"
+    for item_id, row in zip(ids, np.asarray(values, dtype=np.float64)):
+        yield item_id + "," + ",".join(map(repr, row.tolist())) + "\n"
 
 
 # -- frame matrices ---------------------------------------------------------
@@ -327,15 +332,16 @@ def read_vectors_csv(text: str) -> tuple[list[str], np.ndarray]:
 
 
 def write_vectors_csv(ids: list[str], vectors: np.ndarray,
-                      header: str | None = None) -> str:
-    return _table_text(ids, vectors, header)
+                      header: str | None = None) -> Iterator[str]:
+    return _table_lines(ids, vectors, header)
 
 
 # -- labeled Gram matrices --------------------------------------------------
 
 def write_gram_csv(row_ids: list[str], col_ids: list[str],
-                   values: np.ndarray, header: str | None = None) -> str:
-    return _table_text(row_ids, values, header, "cols," + ",".join(col_ids))
+                   values: np.ndarray,
+                   header: str | None = None) -> Iterator[str]:
+    return _table_lines(row_ids, values, header, "cols," + ",".join(col_ids))
 
 
 def read_gram_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
@@ -368,9 +374,9 @@ def read_scores_csv(text: str) -> list[tuple[str, float]]:
 
 
 def write_scores_csv(scores: list[tuple[str, float]],
-                     header: str | None = None) -> str:
-    return _table_text([i for i, _ in scores], [[s] for _, s in scores],
-                       header)
+                     header: str | None = None) -> Iterator[str]:
+    return _table_lines([i for i, _ in scores], [[s] for _, s in scores],
+                        header)
 
 
 def read_labels_csv(text: str) -> dict[str, int]:

@@ -785,6 +785,75 @@ class TestEncodingCommands:
         )
         assert code == 1
 
+    def test_vlad_reads_codebook_before_frames(self, tmp_path, capsys):
+        frames = tmp_path / "v.bin"
+        frames.write_bytes(b"\x00")
+        codebook = tmp_path / "codebook.hkcb"
+        codebook.write_bytes(b"nope")
+        out = tmp_path / "vlad.csv"
+        code = run("vlad", "--frames", str(frames), "--codebook", str(codebook),
+                   "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "parse error: not a codebook container\n")
+        assert not out.exists()
+
+
+class TestVladMemory:
+    """``vlad`` holds the frames once: k-means runs on one stack that the
+    videos are then encoded from, and with ``--codebook`` each video is
+    encoded as it is read. 400 x 128 frames a video and k = 64, as in the
+    event_encode benchmark; 12 videos' frames are 4.7 MiB as float64."""
+
+    @staticmethod
+    def write_videos(tmp_path, count):
+        rng = np.random.default_rng(7)
+        words = rng.random((64, 128))
+        paths = []
+        for i in range(count):
+            frames = (words[rng.integers(64, size=400)]
+                      + 0.01 * rng.random((400, 128)))
+            path = tmp_path / f"v{i:02d}.bin"
+            path.write_bytes(write_frames_bin(frames))
+            paths.append(str(path))
+        return words, paths
+
+    @staticmethod
+    def traced_vlad(*argv):
+        tracemalloc.start()
+        try:
+            code = run("vlad", "--format", "bin", *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    def test_fit_holds_the_frames_once(self, tmp_path):
+        # k-means on a stacked copy beside the per-video matrices, then the
+        # output as one text, peaked at 12.4 MiB traced; on the one stack
+        # the videos are encoded from, written a line at a time, at 9.5 MiB
+        _, paths = self.write_videos(tmp_path, 12)
+        peak = self.traced_vlad("--frames", *paths, "--k", "64",
+                                "--out", str(tmp_path / "vlad.csv"))
+        assert peak < 11 * 2**20
+
+    def test_codebook_encodes_each_video_as_read(self, tmp_path):
+        # every video read before the first is encoded: 12.2 MiB traced for
+        # 12 videos, 24.3 MiB for 24; each encoded as it is read: 2.8 and
+        # 4.3 MiB, the 12 more videos adding their 64 KiB encodings (kept,
+        # then stacked) but none of their frames
+        words, paths = self.write_videos(tmp_path, 24)
+        codebook = tmp_path / "codebook.hkcb"
+        codebook.write_bytes(write_codebook(Codebook(centroids=words, seed=0)))
+        twelve, twenty_four = (
+            self.traced_vlad("--frames", *paths[:count], "--codebook",
+                             str(codebook), "--out", str(tmp_path / "vlad.csv"))
+            for count in (12, 24)
+        )
+        assert twelve < 4 * 2**20
+        assert twenty_four - twelve < 2.5 * 2**20
+
 
 class TestEncodingGoldenBytes:
     """``pool`` and ``vlad`` outputs keep their exact bytes whatever order
@@ -888,10 +957,10 @@ class TestModelCommands:
         if gamma is None:
             gamma = oracle_chi2_gamma(dists)
         prov = f"hierkit {__version__} " + " ".join(argv)
-        return write_gram_csv(
+        return "".join(write_gram_csv(
             x_ids, y_ids, np.exp(-gamma * dists),
             header=f"{prov} | gamma={fmt(gamma)}",
-        ).encode()
+        )).encode()
 
     def test_kernel_auto_gamma_matches_oracle_bytes(self, videos, tmp_path):
         pooled, _ = self.make_gram(videos, tmp_path)
@@ -962,14 +1031,14 @@ class TestModelCommands:
         model_path.write_bytes(write_model(model))
         gram = tmp_path / "rows.csv"
         row_ids = [f"q{j}" for j in range(m)]
-        gram.write_text(write_gram_csv(row_ids, model.train_ids, rows))
+        gram.write_text("".join(write_gram_csv(row_ids, model.train_ids, rows)))
         out = tmp_path / "scores.csv"
         argv = ["score", "--model", str(model_path), "--gram-rows", str(gram),
                 "--out", str(out)]
         assert run(*argv) == 0
         prov = f"hierkit {__version__} " + " ".join(argv)
-        assert out.read_text() == write_scores_csv(
-            list(zip(row_ids, per_row)), header=prov)
+        assert out.read_text() == "".join(write_scores_csv(
+            list(zip(row_ids, per_row)), header=prov))
 
     def test_eval_perfect_ranking_to_stdout(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"

@@ -319,6 +319,26 @@ class TestPairwiseSqDists:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    def test_kmeans_screens_in_row_blocks(self):
+        # the frames are 1.2 MiB; one (n, k) screen alone would be 9.8 MiB
+        data, _ = separated_frames(20000, 64, 8)
+        tracemalloc.start()
+        try:
+            kmeans_fit(data, k=64, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("k", [64, 3])
+    def test_nearest_across_screen_blocks(self, k):
+        step = KMEANS_BLOCK // k
+        rng = np.random.default_rng(k)
+        b = rng.choice([0.0, 1.0, 0.5], (k, 4))  # ties open rows in every block
+        for n in (step - 1, step, step + 1, 2 * step + 1):
+            a = rng.choice([0.0, 1.0, 0.5], (n, 4))
+            assert _nearest(a, b).tobytes() == oracle_nearest(a, b).tobytes()
+
 
 class TestNearestScreen:
     """The screened nearest centroid and k-means++ seeding against the

@@ -103,8 +103,8 @@ def _vectors(path, seed, n, d):
     rng = np.random.default_rng(seed)
     rows = rng.dirichlet(np.ones(d), size=n)
     rows[rng.random((n, d)) < 0.2] = 0.0
-    path.write_text(write_vectors_csv([f"v{seed}_{i}" for i in range(n)],
-                                      rows, header="test"))
+    path.write_text("".join(write_vectors_csv(
+        [f"v{seed}_{i}" for i in range(n)], rows, header="test")))
     return str(path)
 
 
