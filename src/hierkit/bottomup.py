@@ -16,6 +16,7 @@ ancestor-or-self, and synsets with none are unassigned.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -211,16 +212,12 @@ def bottom_up_pipeline(
     return label_map, plan
 
 
-def write_plan(plan: SubsamplePlan) -> str:
-    lines = [
-        f"# hierkit-subsample-plan v1 rule={SELECTION_RULE} "
-        f"t_s={plan.t_s} seed={plan.seed}"
-    ]
-    lines.extend(
-        f"{class_id}\t{target}\t{plan.seed}"
-        for class_id, target in plan.targets.items()
-    )
-    return "\n".join(lines) + "\n"
+def write_plan(plan: SubsamplePlan) -> Iterator[str]:
+    """The plan file's lines: its header, then one line per class."""
+    yield (f"# hierkit-subsample-plan v1 rule={SELECTION_RULE} "
+           f"t_s={plan.t_s} seed={plan.seed}\n")
+    for class_id, target in plan.targets.items():
+        yield f"{class_id}\t{target}\t{plan.seed}\n"
 
 
 def read_plan(text: str) -> SubsamplePlan:

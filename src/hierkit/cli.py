@@ -8,11 +8,16 @@ identical inputs produces byte-identical files. ``reorg-bottomup`` writes
 ``--out``: when the second write fails, the first is already in place.
 ``vlad --codebook`` reads the codebook before any frames file, so when
 both are broken the codebook's error is the one reported.
+Text outputs are written as they are made; a frames file that fails
+mid-way still leaves no output (an existing one stays as it was). A frames
+file's id (its basename less the extension) holding a ``,`` or a line
+break, or starting with whitespace or ``#``, is a contract violation.
 Two outputs of one run that resolve to the same file are a usage error,
 raised before any input is read. Each library warning (HierkitWarning) is
 printed as ``warning: <message>`` on stderr when it is raised, every time,
 and leaves the exit code alone.
-The provenance ``hierkit <version> <subcommand> <flags>`` is recorded as
+The provenance ``hierkit <version> <subcommand> <flags>`` is one line (an
+argument holding a line break is written as its ``repr``), recorded as
 follows: text reports, train lists, vector, Gram and score CSVs start with
 ``# <provenance>`` (a Gram appends `` | gamma=<value>``); label maps carry it
 inside their ``# hierkit-labelmap v1`` header; codebooks and models hold it
@@ -41,6 +46,7 @@ from .encoding import average_pool, kmeans_fit, vlad_encode
 from .errors import ContractViolation, HierkitWarning, ParseError, UsageError
 from .evaluation import ScoredList, late_fuse, mean_average_precision
 from .io import (
+    _LINE_BREAKS,
     _open_text,
     _read_bytes,
     _read_text,
@@ -79,11 +85,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(path: str | None, text: str) -> None:
+def _emit(path: str | None, lines: list[str]) -> None:
+    pieces = (line + "\n" for line in lines)
     if path:
-        atomic_write_text(path, text)
+        atomic_write_text(path, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _load_taxonomy(ns):
@@ -96,6 +103,10 @@ def _load_taxonomy(ns):
 
 def _frame_ids(paths: list[str]) -> list[str]:
     ids = [os.path.splitext(os.path.basename(p))[0] for p in paths]
+    for item_id in ids:  # each must read back from its own vector CSV row
+        if next(_records(item_id + ",0"), (0, "", [None]))[2][0] != item_id:
+            raise ContractViolation(
+                f"frame file id {item_id!r} cannot be a vector CSV id")
     if len(set(ids)) != len(ids):
         raise ContractViolation("frame file basenames collide")
     return ids
@@ -151,7 +162,7 @@ def _cmd_validate(ns, prov: str) -> int:
         f"total_images={taxonomy.total_images()}",
         "ok=1",
     ]
-    _emit(ns.out, "\n".join(lines) + "\n")
+    _emit(ns.out, lines)
     return 0
 
 
@@ -174,7 +185,7 @@ def _cmd_stats(ns, prov: str) -> int:
         f"depth_{depth}={count}"
         for depth, count in enumerate(report.per_depth_class_counts)
     )
-    _emit(ns.out, "\n".join(lines) + "\n")
+    _emit(ns.out, lines)
     return 0
 
 
@@ -250,8 +261,8 @@ def _trainlist_pieces(per_class: dict[int, list[str]], plan, prov):
 
 def _cmd_pool(ns, prov: str) -> int:
     ids = _frame_ids(ns.frames)
-    vectors = [average_pool(frames) for frames in _frame_matrices(ns)]
-    atomic_write_text(ns.out, write_vectors_csv(ids, np.vstack(vectors), header=prov))
+    vectors = map(average_pool, _frame_matrices(ns))
+    atomic_write_text(ns.out, write_vectors_csv(ids, vectors, header=prov))
     return 0
 
 
@@ -278,8 +289,8 @@ def _cmd_vlad(ns, prov: str) -> int:
                 ns.save_codebook, write_codebook(codebook, provenance=prov)
             )
         matrices = np.split(frames, edges)
-    encodings = [vlad_encode(arr, codebook) for arr in matrices]
-    atomic_write_text(ns.out, write_vectors_csv(ids, np.vstack(encodings), header=prov))
+    encodings = (vlad_encode(arr, codebook) for arr in matrices)
+    atomic_write_text(ns.out, write_vectors_csv(ids, encodings, header=prov))
     return 0
 
 
@@ -294,10 +305,8 @@ def _cmd_kernel(ns, prov: str) -> int:
         read_vectors_csv(_read_text(ns.y)) if ns.y else (x_ids, None)
     )
     gram, gamma = chi2_kernel(x_vectors, y_vectors, gamma=ns.gamma)
-    text = write_gram_csv(
-        x_ids, y_ids, gram, header=f"{prov} | gamma={fmt(gamma)}"
-    )
-    atomic_write_text(ns.out, text)
+    atomic_write_text(ns.out, write_gram_csv(
+        x_ids, y_ids, gram, header=f"{prov} | gamma={fmt(gamma)}"))
     return 0
 
 
@@ -324,10 +333,8 @@ def _cmd_score(ns, prov: str) -> int:
         raise ContractViolation(
             "gram-rows columns do not match the model's training items"
         )
-    scores = svm_score(model, rows).tolist()
-    atomic_write_text(
-        ns.out, write_scores_csv(list(zip(row_ids, scores)), header=prov)
-    )
+    scores = svm_score(model, rows)[:, None]
+    atomic_write_text(ns.out, write_vectors_csv(row_ids, scores, header=prov))
     return 0
 
 
@@ -365,7 +372,7 @@ def _cmd_eval(ns, prov: str) -> int:
     lines = [f"# {prov}"]
     lines.extend(f"ap.{name}={fmt(ap)}" for name, ap in result.per_event)
     lines.append(f"map={fmt(result.mean_ap)}")
-    _emit(ns.out, "\n".join(lines) + "\n")
+    _emit(ns.out, lines)
     return 0
 
 
@@ -488,7 +495,9 @@ def main(argv: list[str] | None = None) -> int:
             ns = parser.parse_args(argv)
             if not getattr(ns, "handler", None):
                 raise UsageError("a subcommand is required")
-            prov = f"hierkit {__version__} " + " ".join(argv)
+            prov = f"hierkit {__version__} " + " ".join(
+                arg if _LINE_BREAKS.isdisjoint(arg) else repr(arg)
+                for arg in argv)
             return ns.handler(ns, prov)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)

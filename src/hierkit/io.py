@@ -23,12 +23,12 @@ reader. Floats are rendered with ``repr`` so output is byte-stable and
 re-parses to the same double.
 
 Outputs are written to a sibling temp file and renamed into place, so they
-never go partial; an output that cannot be written is a UsageError.
-``atomic_write_text`` also takes a text as pieces, so a large output need
-not be joined in memory first. The table writers (``write_vectors_csv``,
-``write_gram_csv``, ``write_scores_csv``) return such pieces, one line per
-row from the one row writer ``_table_lines``; they read ``values`` lazily,
-so consume the lines before changing it.
+never go partial; an output that cannot be written is a UsageError. A
+text output is lines, which ``atomic_write_text`` writes one at a time.
+The table writers (``write_vectors_csv``, ``write_gram_csv``,
+``write_scores_csv``) yield one per row from the one row writer
+``_table_lines``, taking the rows (a matrix, or rows made one at a time)
+lazily, so consume the lines before changing them.
 """
 
 from __future__ import annotations
@@ -91,14 +91,11 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     _atomic_write(path, (data,))
 
 
-def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
-    """Write UTF-8 text atomically: one string, encoded whole and written
-    by ``atomic_write_bytes``, or an iterable of pieces, encoded and written
-    one at a time so the whole text never exists in memory."""
-    if isinstance(text, str):
-        atomic_write_bytes(path, text.encode("utf-8"))
-    else:
-        _atomic_write(path, (piece.encode("utf-8") for piece in text))
+def atomic_write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` (lines; a ``str`` would go a character at a time)
+    atomically as UTF-8, each as it is taken: no whole text is held, and a
+    piece that raises leaves ``path`` as it was."""
+    _atomic_write(path, (piece.encode("utf-8") for piece in pieces))
 
 
 def fmt(value: float) -> str:
@@ -250,17 +247,18 @@ def _float_rows(records: Iterable[tuple[int, str, list[str]]],
     return ids, np.asarray(rows, dtype=np.float64)
 
 
-def _table_lines(ids: list[str], values: np.ndarray, header: str | None,
+def _table_lines(ids: Iterable[str], rows: Iterable, header: str | None,
                  *head: str) -> Iterator[str]:
     """The one row writer, one line at a time: the ``# header`` line, the
     ``head`` lines, then an ``id,v1,...,vd`` line per row, each value
-    ``fmt``-ed in one pass. ``values`` is read as the lines are taken."""
+    ``fmt``-ed in one pass. Each row is read as its line is taken."""
     if header:
         yield f"# {header}\n"
     for line in head:
         yield line + "\n"
-    for item_id, row in zip(ids, np.asarray(values, dtype=np.float64)):
-        yield item_id + "," + ",".join(map(repr, row.tolist())) + "\n"
+    for item_id, row in zip(ids, rows):
+        values = np.asarray(row, np.float64).tolist()
+        yield item_id + "," + ",".join(map(repr, values)) + "\n"
 
 
 # -- frame matrices ---------------------------------------------------------
@@ -331,7 +329,7 @@ def read_vectors_csv(text: str) -> tuple[list[str], np.ndarray]:
     return ids, vectors
 
 
-def write_vectors_csv(ids: list[str], vectors: np.ndarray,
+def write_vectors_csv(ids: list[str], vectors: Iterable,
                       header: str | None = None) -> Iterator[str]:
     return _table_lines(ids, vectors, header)
 

@@ -22,6 +22,7 @@ member and unassigned.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -80,19 +81,18 @@ def from_members(
     )
 
 
-def write_label_map(label_map: LabelMap) -> str:
-    lines = [f"{_HEADER_PREFIX} {label_map.provenance}".rstrip()]
+def write_label_map(label_map: LabelMap) -> Iterator[str]:
+    """The file's lines; a class with no members is a ContractViolation,
+    raised when its line is taken."""
+    yield f"{_HEADER_PREFIX} {label_map.provenance}".rstrip() + "\n"
     for cls in label_map.classes:
         if not cls.members:  # reading would strip its trailing tab
             raise ContractViolation(f"class {cls.class_id} has no members")
-        lines.append(
-            f"{cls.class_id}\t{cls.representative}\t{cls.assigned_count}\t"
-            + ",".join(cls.members)
-        )
-    lines.append("#UNASSIGNED")
+        yield (f"{cls.class_id}\t{cls.representative}\t{cls.assigned_count}"
+               f"\t{','.join(cls.members)}\n")
+    yield "#UNASSIGNED\n"
     for synset, count in label_map.unassigned:
-        lines.append(f"{synset}\t{count}")
-    return "\n".join(lines) + "\n"
+        yield f"{synset}\t{count}\n"
 
 
 def read_label_map(text: str) -> LabelMap:

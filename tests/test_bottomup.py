@@ -267,10 +267,10 @@ class TestSubsamplePlan:
     def test_plan_roundtrip(self):
         label_map = self.make_map(3072)
         plan = subsample_plan(label_map, 2000, seed=7)
-        parsed = read_plan(write_plan(plan))
+        parsed = read_plan("".join(write_plan(plan)))
         assert list(parsed.targets.items()) == list(plan.targets.items())
         assert parsed.seed == plan.seed
-        assert write_plan(parsed) == write_plan(plan)
+        assert "".join(write_plan(parsed)) == "".join(write_plan(plan))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -281,8 +281,8 @@ class TestSubsamplePlan:
     def test_rewritten_plan_is_byte_identical(self, targets, seed):
         """Classes in any order: reading a written plan and writing it again
         gives the same bytes."""
-        text = write_plan(SubsamplePlan(targets, t_s=9, seed=seed))
-        assert write_plan(read_plan(text)) == text
+        text = "".join(write_plan(SubsamplePlan(targets, t_s=9, seed=seed)))
+        assert "".join(write_plan(read_plan(text))) == text
 
     def test_invalid_threshold_rejected(self):
         label_map = self.make_map(10)
@@ -361,8 +361,10 @@ class TestPipeline:
         config = ReorgConfig(t_b=100, t_p=10, t_s=50, seed=3)
         first_map, first_plan = bottom_up_pipeline(t, config)
         second_map, second_plan = bottom_up_pipeline(t, config)
-        assert write_label_map(first_map) == write_label_map(second_map)
-        assert write_plan(first_plan) == write_plan(second_plan)
+        assert "".join(write_label_map(first_map)) == (
+            "".join(write_label_map(second_map)))
+        assert "".join(write_plan(first_plan)) == (
+            "".join(write_plan(second_plan)))
 
     def test_matches_composed_oracle(self):
         for seed in range(30):
@@ -371,7 +373,8 @@ class TestPipeline:
             config = ReorgConfig(t_b=t_b, t_p=t_p, t_s=t_s, seed=seed)
             label_map, _ = bottom_up_pipeline(t, config)
             expected = oracle_bottom_up(t, t_b, t_p, label_map.provenance)
-            assert write_label_map(label_map) == write_label_map(expected)
+            assert "".join(write_label_map(label_map)) == (
+                "".join(write_label_map(expected)))
 
     def test_root_alone_below_floor_leaves_everything_unassigned(self):
         """Every synset promotes into a root that stays under t_p: no class,
@@ -383,10 +386,12 @@ class TestPipeline:
                 t, ReorgConfig(t_b=0, t_p=t_p, t_s=5, seed=seed)
             )
             assert label_map.classes == [] and plan.targets == {}
-            written = write_label_map(label_map)
+            written = "".join(write_label_map(label_map))
             prov = label_map.provenance
-            assert written == write_label_map(oracle_bottom_up(t, 0, t_p, prov))
-            assert written == write_label_map(oracle_assign(t, [], prov))
+            assert written == (
+                "".join(write_label_map(oracle_bottom_up(t, 0, t_p, prov))))
+            assert written == (
+                "".join(write_label_map(oracle_assign(t, [], prov))))
 
     def test_one_working_copy_and_input_untouched(self, monkeypatch):
         """The three steps run in place on one copy of the input tree, and
@@ -411,9 +416,10 @@ class TestPipeline:
             assert t == before  # the input tree is untouched
 
             expected = oracle_bottom_up(t, t_b, t_p, label_map.provenance)
-            assert write_label_map(label_map) == write_label_map(expected)
-            assert write_plan(plan) == write_plan(
-                subsample_plan(expected, t_s, seed))
+            assert "".join(write_label_map(label_map)) == (
+                "".join(write_label_map(expected)))
+            assert "".join(write_plan(plan)) == "".join(write_plan(
+                subsample_plan(expected, t_s, seed)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import tracemalloc
+from collections.abc import Iterator
 from io import StringIO
 
 import numpy as np
@@ -447,6 +448,28 @@ class TestAtomicWrite:
         assert _leftovers(tmp_path) == []
 
 
+class TestTextWriters:
+    """Every text output is lines: each text writer returns an iterator,
+    never one ``str``, and each piece it yields is one line ending in a
+    newline."""
+
+    @pytest.mark.parametrize("write", [
+        lambda: write_vectors_csv(["a", "b"], np.eye(2), header="h"),
+        lambda: write_gram_csv(["a"], ["a", "b"], [[1.0, 0.5]], header="h"),
+        lambda: write_scores_csv([("a", 0.5), ("b", -1.0)], header="h"),
+        lambda: write_label_map(from_members(
+            {"A": {"A", "A1"}, "B": {"B"}}, {"A": 3, "B": 1}, [("U", 2)], "p")),
+        lambda: write_plan(SubsamplePlan({0: 2, 1: 0}, t_s=3, seed=5)),
+    ], ids=["vectors", "gram", "scores", "labelmap", "plan"])
+    def test_yields_lines(self, write):
+        pieces = write()
+        assert isinstance(pieces, Iterator) and not isinstance(pieces, str)
+        lines = list(pieces)
+        assert len(lines) > 2
+        assert "".join(lines).splitlines(keepends=True) == lines
+        assert all(line.endswith("\n") for line in lines)
+
+
 # every character str.splitlines ends a line at, and the pieces of the
 # grammar: CRLF, blank, comment and padded lines, separators
 _LINE_TOKENS = st.sampled_from([
@@ -542,19 +565,19 @@ def _written_text(draw, kind):
     if kind == "labelmap":
         reps = draw(st.lists(st.sampled_from("ABCD"), unique=True, max_size=4))
         counts = st.integers(0, 9)
-        return write_label_map(from_members(
+        return "".join(write_label_map(from_members(
             {rep: {rep, rep + "1"} for rep in reps},
             {rep: draw(counts) for rep in reps},
             [(u, draw(counts)) for u in draw(st.sets(st.sampled_from("UV")))],
             draw(st.sampled_from(("", "topdown t_t=1 budget=2"))),
-        ))
+        )))
     if kind == "plan":
         t_s = draw(st.integers(1, 9))
         targets = draw(st.lists(st.integers(0, t_s), max_size=4))
-        return write_plan(SubsamplePlan(
+        return "".join(write_plan(SubsamplePlan(
             dict(enumerate(targets)), t_s=t_s,
             seed=draw(st.integers(0, 2**64 - 1)),
-        ))
+        )))
     n = draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))
     matrix = np.array(draw(st.lists(
@@ -840,6 +863,34 @@ def test_one_reader_of_count_rows():
         )
     assert callers == ["labelmap.read_label_map", "taxonomy.parse_counts"]
     assert holders == ["io.py"]
+
+
+def test_text_outputs_are_never_one_str():
+    """No ``atomic_write_text`` or ``_emit`` call in the package passes a
+    str-valued expression (a literal, an f-string, a ``+`` or a
+    ``.join(...)``): both take lines, and a ``str`` would be written one
+    character at a time."""
+    package = os.path.dirname(hierkit.__file__)
+    callees, stray = set(), []
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            callee = (getattr(node.func, "id", None)
+                      or getattr(node.func, "attr", None)
+                      if isinstance(node, ast.Call) else None)
+            if callee not in ("atomic_write_text", "_emit"):
+                continue
+            callees.add(callee)
+            for arg in node.args[1:] + [k.value for k in node.keywords]:
+                if (isinstance(arg, (ast.Constant, ast.JoinedStr))
+                        or isinstance(arg, ast.BinOp)
+                        and isinstance(arg.op, ast.Add)
+                        or isinstance(arg, ast.Call)
+                        and getattr(arg.func, "attr", None) == "join"):
+                    stray.append(f"{name}:{node.lineno}: {ast.unparse(arg)}")
+    assert callees == {"atomic_write_text", "_emit"}
+    assert stray == []
 
 
 class TestShardedVectorReads:

@@ -1,8 +1,11 @@
 """Label-map construction and file round-trips."""
 
+import os
+
 import pytest
 
 from hierkit.errors import ContractViolation, ParseError
+from hierkit.io import atomic_write_text
 from hierkit.labelmap import (
     LabelClass,
     LabelMap,
@@ -46,12 +49,12 @@ class TestConstruction:
 class TestRoundTrip:
     def test_write_read_identity(self):
         label_map = sample_map()
-        text = write_label_map(label_map)
+        text = "".join(write_label_map(label_map))
         parsed = read_label_map(text)
         assert parsed.classes == label_map.classes
         assert parsed.unassigned == label_map.unassigned
         assert parsed.provenance == label_map.provenance
-        assert write_label_map(parsed) == text
+        assert "".join(write_label_map(parsed)) == text
 
     def test_empty_unassigned_section(self):
         label_map = LabelMap(
@@ -65,21 +68,34 @@ class TestRoundTrip:
             ],
             provenance="topdown t_t=1 budget=1",
         )
-        parsed = read_label_map(write_label_map(label_map))
+        parsed = read_label_map("".join(write_label_map(label_map)))
         assert parsed.classes == label_map.classes
         assert parsed.unassigned == []
 
     def test_class_without_members_not_written(self):
         empty = LabelMap(classes=[LabelClass(0, "A", (), 3)])
         with pytest.raises(ContractViolation, match="class 0 has no members"):
-            write_label_map(empty)
+            "".join(write_label_map(empty))
+
+    @pytest.mark.parametrize("existing", [None, "old\n"], ids=["new", "old"])
+    def test_class_without_members_leaves_no_file(self, tmp_path, existing):
+        target = tmp_path / "map.tsv"
+        if existing is not None:
+            target.write_text(existing)
+        label_map = LabelMap(classes=[LabelClass(0, "A", ("A",), 3),
+                                      LabelClass(1, "B", (), 3)])
+        with pytest.raises(ContractViolation, match="class 1 has no members"):
+            atomic_write_text(str(target), write_label_map(label_map))
+        assert os.listdir(tmp_path) == ([] if existing is None else ["map.tsv"])
+        if existing is not None:
+            assert target.read_text() == existing
 
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError):
             read_label_map("0\tn01\t3\tn01\n")
 
     def test_malformed_class_line_rejected(self):
-        text = write_label_map(sample_map()) + "not\tenough\n"
+        text = "".join(write_label_map(sample_map())) + "not\tenough\n"
         with pytest.raises(ParseError):
             read_label_map(text.replace("#UNASSIGNED\n", ""))
 
